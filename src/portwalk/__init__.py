@@ -15,8 +15,6 @@ from .agents import (
     derive_port_function,
     load_agent_script,
     memory_lower_bound_check,
-    rotor_router_port,
-    scripted_port_function,
     whiteboard_rotor_router,
 )
 from .adversary import (
@@ -51,7 +49,9 @@ from .experiments import (
     ReportRow,
     battery,
     brute_force_path_worst_case,
+    cubic_bound_rows,
     cubic_bound_sweep,
+    path_bound_rows,
     path_bound_sweep,
     rotor_upper_bound_sweep,
 )
@@ -70,16 +70,10 @@ from .graphs import (
     validate,
 )
 from .simulate import (
-    SimulationState,
     SimulationTrace,
     arc_traversals,
-    cover_time,
     export_trace,
-    initial_state,
     outports_taken,
     run,
-    step,
     visit_count_upto,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

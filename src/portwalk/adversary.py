@@ -167,7 +167,8 @@ def verify_path_bound(agent: PortFunction, n: int,
         cap = 8 * (n - 1) ** 2 + 8
     trace = run(inst.graph, agent, inst.start, ("target", inst.target),
                 cap=cap, record_moves=False)
-    arc = trace.arc_counts.get((n - 1, n - 2), 0)
+    # v_n has one port, so its departures are the start arc's crossings.
+    arc = visit_count_upto(trace, n - 1, trace.steps)
     if not trace.stopped:
         verdict = "pass-vacuous"
         steps = None
@@ -259,17 +260,15 @@ def build_cubic_instance(agent: PortFunction, n: int,
     v_star = select_v_star(probe, range(d), d * (d - 1), steps_budget)
 
     path_len = n - 2 * d + 1  # d+1 plus the n mod 3 remainder
+    # The glued endpoint is internal node v_{path_len} of a one-longer
+    # path whose v_{path_len+1} is v*, so that path's last majority value
+    # is the endpoint's port back to v*.
     try:
-        prefix = _degree2_prefix(agent, 2 * (path_len - 1) - 1)
+        alpha = worst_case_path_labeling(agent, path_len + 1).toward_far
     except HorizonExceededError as e:
         raise HorizonExceededError(f"path-labeling stage: {e}") from e
-    toward_far = tuple(
-        majority_element(prefix, 2 * (i - 1) - 1, i - 1)
-        for i in range(2, path_len)
-    )
-    glue_port = majority_element(prefix, 2 * (path_len - 1) - 1, path_len - 1)
-    labeling = PathLabeling(path_len, toward_far)
-    graph = replace_pendant_with_path(g1, v_star, labeling, back_port=glue_port)
+    labeling = PathLabeling(path_len, alpha[:-1])
+    graph = replace_pendant_with_path(g1, v_star, labeling, back_port=alpha[-1])
 
     return AdversarialInstance(
         graph=graph,
@@ -281,7 +280,7 @@ def build_cubic_instance(agent: PortFunction, n: int,
             "p": p,
             "v_star": v_star,
             "path_len": path_len,
-            "alpha": list(toward_far) + [glue_port],
+            "alpha": list(alpha),
         },
     )
 

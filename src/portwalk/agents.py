@@ -17,35 +17,19 @@ regardless of its script.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import AgentViolationError, HorizonExceededError, InvalidPortError
 
 
-def rotor_router_port(d: int, i: int) -> int:
-    """Port taken by the rotor-router on visit i to a degree-d node.
-
-    Ports are used cyclically starting at 1: visit i exits via
-    ((i-1) mod d) + 1.
-    """
-    if d < 1 or i < 1:
-        raise ValueError(f"degree and visit index must be positive, got ({d}, {i})")
-    return (i - 1) % d + 1
-
-
 class PortFunction:
-    """Base interface: outport(d, i) plus the largest answerable index."""
+    """Base interface: outport(d, i), the port taken on visit i at degree d."""
 
     name = "agent"
 
     def outport(self, d: int, i: int) -> int:
         raise NotImplementedError
-
-    def horizon(self, d: int) -> float:
-        """Largest visit index answerable for degree d (math.inf if unlimited)."""
-        return math.inf
 
 
 class RotorRouter(PortFunction):
@@ -115,28 +99,24 @@ class ScriptedPortFunction(PortFunction):
             f"degree-{d} table has {len(table)} entries, visit {i} requested"
         )
 
-    def horizon(self, d: int) -> float:
-        table = self.tables.get(d)
-        if not table:
-            return math.inf if d == 1 else 0
-        return math.inf if self.extension == "cycle" else len(table)
-
-
-def scripted_port_function(tables: Mapping[int, Sequence[int]],
-                           extension: str = "cycle") -> ScriptedPortFunction:
-    """Build a scripted agent, validating that every entry fits its degree."""
-    return ScriptedPortFunction(tables, extension)
-
 
 def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction:
     """Parse the agent script document: {"tables": {"<d>": [...]}, "extension": ...}.
 
-    "extension" accepts "cycle" or "fail".
+    Each degree key is a positive integer and each table a non-empty list
+    of integer ports. "extension" accepts "cycle" or "fail".
     """
     doc = json.loads(text)
-    if not isinstance(doc, dict) or "tables" not in doc:
-        raise ValueError("agent script must be an object with a 'tables' field")
-    tables = {int(d): entries for d, entries in doc["tables"].items()}
+    if not isinstance(doc, dict) or not isinstance(doc.get("tables"), dict):
+        raise ValueError("agent script must be an object whose 'tables' is an object")
+    tables = {}
+    for key, entries in doc["tables"].items():
+        if not (key.isascii() and key.isdigit()) or int(key) < 1:
+            raise ValueError(f"degree {key!r} is not a positive integer")
+        if not isinstance(entries, list) or not entries or any(
+                isinstance(e, bool) or not isinstance(e, int) for e in entries):
+            raise ValueError(f"table for degree {key} is not a non-empty integer list")
+        tables[int(key)] = entries
     return ScriptedPortFunction(tables, doc.get("extension", "cycle"), name=name)
 
 

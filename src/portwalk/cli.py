@@ -9,6 +9,7 @@ inputs exit 2.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -20,6 +21,8 @@ from .experiments import (
     ReportRow,
     battery,
     brute_force_path_worst_case,
+    cubic_bound_rows,
+    path_bound_rows,
     rotor_upper_bound_sweep,
 )
 from .graphs import deserialize
@@ -47,11 +50,15 @@ def resolve_agent(name_or_path: str) -> agents_mod.PortFunction:
         raise UsageError(f"bad agent script {name_or_path}: {e}") from e
 
 
+def is_integer(text: str) -> bool:
+    return re.fullmatch(r"-?[0-9]+", text) is not None
+
+
 def parse_stop(text: str):
     if text == "covered":
         return "covered"
     kind, _, arg = text.partition(":")
-    if kind in ("target", "steps") and arg.lstrip("-").isdigit():
+    if kind in ("target", "steps") and is_integer(arg):
         return (kind, int(arg))
     raise UsageError(f"bad stop condition {text!r} "
                      "(use covered, target:<node>, or steps:<k>)")
@@ -72,7 +79,7 @@ def write_report(report: ExperimentReport, args) -> int:
 def cmd_simulate(args) -> int:
     try:
         g = deserialize(Path(args.graph).read_text())
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise UsageError(f"cannot read graph: {e}") from e
     except PortWalkError as e:
         raise UsageError(f"bad graph document: {e}") from e
@@ -85,14 +92,8 @@ def cmd_simulate(args) -> int:
 def cmd_adversary_path(args) -> int:
     agent = resolve_agent(args.agent)
     r = verify_path_bound(agent, args.n, cap=args.cap)
-    report = ExperimentReport("adversary-path", {"agent": agent.name, "n": args.n})
-    measured = "" if r.steps is None else str(r.steps)
-    report.rows.append(ReportRow("adversary-path", agent.name, args.n,
-                                 "steps-to-target", str(r.bound), measured,
-                                 r.verdict))
-    report.rows.append(ReportRow("adversary-path", agent.name, args.n,
-                                 "entry-arc-count", str(r.arc_bound),
-                                 str(r.arc_count), r.verdict))
+    report = ExperimentReport("adversary-path", {"agent": agent.name, "n": args.n},
+                              path_bound_rows(r))
     return write_report(report, args)
 
 
@@ -103,15 +104,8 @@ def cmd_adversary_cubic(args) -> int:
         graph_text, sidecar = export_instance(r.instance)
         Path(args.save_instance + ".graph.json").write_text(graph_text)
         Path(args.save_instance + ".instance.json").write_text(sidecar)
-    report = ExperimentReport("adversary-cubic", {"agent": agent.name, "n": args.n})
-    measured = "" if r.cover is None else str(r.cover)
-    report.rows.append(ReportRow("adversary-cubic", agent.name, args.n,
-                                 "cover-time", str(r.bound), measured, r.verdict))
-    report.rows.append(ReportRow("adversary-cubic", agent.name, args.n,
-                                 f"v-star-visits;v_star={r.v_star}",
-                                 str(r.v_star_budget), str(r.v_star_visits),
-                                 "pass" if r.v_star_visits <= r.v_star_budget
-                                 else "fail"))
+    report = ExperimentReport("adversary-cubic", {"agent": agent.name, "n": args.n},
+                              cubic_bound_rows(r))
     return write_report(report, args)
 
 
@@ -135,7 +129,7 @@ def cmd_rotor_upper(args) -> int:
     cases = []
     for text in args.case:
         parts = text.split(",")
-        if len(parts) != 3 or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != 3 or not all(is_integer(p) for p in parts):
             raise UsageError(f"bad case {text!r}, expected n,m,seed")
         cases.append(tuple(int(p) for p in parts))
     if args.n is not None or args.m is not None:
@@ -221,13 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except PortWalkError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (UsageError, PortWalkError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

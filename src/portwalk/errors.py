@@ -27,7 +27,8 @@ class InvalidArcError(PortWalkError, ValueError):
 
 
 class InvalidLimitError(PortWalkError, ValueError):
-    """A step limit exceeds the length of the trace it is applied to."""
+    """A limit (a run's cap, step budget or target, a bound's factor) is
+    unusable, or a step limit exceeds the length of its trace."""
 
 
 class HorizonExceededError(PortWalkError, LookupError):

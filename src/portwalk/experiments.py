@@ -13,8 +13,13 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .agents import CyclicAgent, PortFunction, RotorRouter
-from .adversary import verify_cubic_bound, verify_path_bound
-from .errors import InvalidSizeError
+from .adversary import (
+    CubicBoundReport,
+    PathBoundReport,
+    verify_cubic_bound,
+    verify_path_bound,
+)
+from .errors import InvalidLimitError, InvalidSizeError
 from .graphs import PathLabeling, build_path, diameter, random_connected_graph
 from .simulate import run
 
@@ -125,20 +130,37 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
                             unstopped=unstopped)
 
 
+def path_bound_rows(r: PathBoundReport) -> list[ReportRow]:
+    """The steps-to-target and entry-arc-count rows of one path check."""
+    measured = "" if r.steps is None else str(r.steps)
+    return [
+        ReportRow("adversary-path", r.agent, r.n, "steps-to-target",
+                  str(r.bound), measured, r.verdict),
+        ReportRow("adversary-path", r.agent, r.n, "entry-arc-count",
+                  str(r.arc_bound), str(r.arc_count), r.verdict),
+    ]
+
+
+def cubic_bound_rows(r: CubicBoundReport) -> list[ReportRow]:
+    """The cover-time and v-star-visits rows of one cubic check."""
+    measured = "" if r.cover is None else str(r.cover)
+    return [
+        ReportRow("adversary-cubic", r.agent, r.n, "cover-time",
+                  str(r.bound), measured, r.verdict),
+        ReportRow("adversary-cubic", r.agent, r.n,
+                  f"v-star-visits;v_star={r.v_star}",
+                  str(r.v_star_budget), str(r.v_star_visits),
+                  "pass" if r.v_star_visits <= r.v_star_budget else "fail"),
+    ]
+
+
 def path_bound_sweep(agents: dict[str, PortFunction], n_values: Iterable[int],
                      cap: int | None = None) -> ExperimentReport:
     """verify_path_bound over a battery and a range of path sizes."""
     report = ExperimentReport("adversary-path", {"n": list(n_values)})
-    for name, agent in sorted(agents.items()):
+    for _, agent in sorted(agents.items()):
         for n in sorted(report.params["n"]):
-            r = verify_path_bound(agent, n, cap=cap)
-            measured = "" if r.steps is None else str(r.steps)
-            report.rows.append(ReportRow(
-                "adversary-path", name, n, "steps-to-target",
-                str(r.bound), measured, r.verdict))
-            report.rows.append(ReportRow(
-                "adversary-path", name, n, "entry-arc-count",
-                str(r.arc_bound), str(r.arc_count), r.verdict))
+            report.rows += path_bound_rows(verify_path_bound(agent, n, cap=cap))
     return report
 
 
@@ -146,18 +168,9 @@ def cubic_bound_sweep(agents: dict[str, PortFunction], n_values: Iterable[int],
                       cap: int | None = None) -> ExperimentReport:
     """verify_cubic_bound over a battery and a range of graph sizes."""
     report = ExperimentReport("adversary-cubic", {"n": list(n_values)})
-    for name, agent in sorted(agents.items()):
+    for _, agent in sorted(agents.items()):
         for n in sorted(report.params["n"]):
-            r = verify_cubic_bound(agent, n, cap=cap)
-            measured = "" if r.cover is None else str(r.cover)
-            report.rows.append(ReportRow(
-                "adversary-cubic", name, n, "cover-time",
-                str(r.bound), measured, r.verdict))
-            report.rows.append(ReportRow(
-                "adversary-cubic", name, n,
-                f"v-star-visits;v_star={r.v_star}",
-                str(r.v_star_budget), str(r.v_star_visits),
-                "pass" if r.v_star_visits <= r.v_star_budget else "fail"))
+            report.rows += cubic_bound_rows(verify_cubic_bound(agent, n, cap=cap))
     return report
 
 
@@ -173,7 +186,7 @@ def rotor_upper_bound_sweep(cases: Sequence[tuple[int, int, int]],
     rotor-router covers every connected graph.
     """
     if factor <= 0:
-        raise ValueError(f"factor must be positive, got {factor}")
+        raise InvalidLimitError(f"factor must be positive, got {factor}")
     report = ExperimentReport(
         "rotor-upper",
         {"factor": factor, "cases": [list(c) for c in sorted(cases)]},

@@ -31,40 +31,6 @@ from .graphs import PortLabeledGraph
 
 
 @dataclass
-class SimulationState:
-    """Mutable cursor for single-stepping: position, per-node visit counts, step."""
-
-    current: int
-    visit_index: list[int]
-    step: int = 0
-
-
-def initial_state(g: PortLabeledGraph, start: int) -> SimulationState:
-    if not 0 <= start < g.n:
-        raise InvalidVertexError(f"start node {start} out of range")
-    return SimulationState(current=start, visit_index=[0] * g.n, step=0)
-
-
-def step(g: PortLabeledGraph, agent: PortFunction,
-         st: SimulationState) -> SimulationState:
-    """Advance one move in place and return the same state object.
-
-    Bumps the current node's visit index, asks the agent for an outport,
-    and crosses the corresponding arc. HorizonExceededError from the
-    agent propagates.
-    """
-    v = st.current
-    d = len(g.port_map[v])
-    st.visit_index[v] += 1
-    p = agent.outport(d, st.visit_index[v])
-    if not isinstance(p, int) or p < 1 or p > d:
-        raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
-    st.current = g.port_map[v][p - 1]
-    st.step += 1
-    return st
-
-
-@dataclass
 class SimulationTrace:
     """Complete record of one run.
 
@@ -83,15 +49,25 @@ class SimulationTrace:
     moves: list[tuple[int, int]] | None
     first_visit: list[int | None]
     visit_counts: list[int]
-    arc_counts: dict[tuple[int, int], int]
     covered_at: int | None
     stopped: bool
 
     def positions(self) -> list[int]:
         """Occupied node at the beginning of each step 0..steps."""
-        if self.moves is None:
-            raise ValueError("trace was recorded in counters-only mode")
-        return [v for v, _ in self.moves] + [self.final]
+        return [v for v, _ in _moves(self)] + [self.final]
+
+
+def _moves(trace: SimulationTrace) -> list[tuple[int, int]]:
+    if trace.moves is None:
+        raise ValueError("trace was recorded in counters-only mode")
+    return trace.moves
+
+
+def _whole(value, what: str) -> int:
+    """value itself if it is an int (bool is not), else InvalidLimitError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidLimitError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -101,27 +77,33 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     cap defaults to 4*n^3, a comfortable ceiling for any walk that is
     going to finish at all on the graphs this package builds. Set
     record_moves=False for long runs where only the aggregate counters
-    matter; per-step analyses (positions, outport sequences) then become
-    unavailable.
+    matter; per-step analyses (positions, outport sequences, arc
+    crossings) then become unavailable. A start node of degree 0 (the
+    one-node graph) takes no step.
     """
     n = g.n
     if not 0 <= start < n:
         raise InvalidVertexError(f"start node {start} out of range")
     if cap is None:
         cap = 4 * n * n * n
-    if cap < 1:
-        raise ValueError(f"cap must be at least 1, got {cap}")
+    if _whole(cap, "cap") < 1:
+        raise InvalidLimitError(f"cap must be at least 1, got {cap}")
 
+    # The walk stops at its first arrival at target, or at the first visit
+    # that leaves stop_unvisited nodes unvisited (-1 stands for neither).
+    # A ("steps", k) run counts as stopped when it made exactly k moves.
+    target, stop_unvisited, budget, limit = -1, -1, None, cap
     if stop == "covered":
-        mode, target, limit = 0, -1, cap
+        stop_unvisited = 0
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
-        mode, target, limit = 1, stop[1], cap
+        target = _whole(stop[1], "target node")
         if not 0 <= target < n:
             raise InvalidVertexError(f"target node {target} out of range")
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "steps":
-        if stop[1] < 0:
-            raise ValueError(f"step budget must be non-negative, got {stop[1]}")
-        mode, target, limit = 2, -1, min(cap, stop[1])
+        budget = _whole(stop[1], "step budget")
+        if budget < 0:
+            raise InvalidLimitError(f"step budget must be non-negative, got {budget}")
+        limit = min(cap, budget)
     else:
         raise ValueError(f"unrecognized stop condition {stop!r}")
 
@@ -130,7 +112,6 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     visit_index = [0] * n
     visit_counts = [0] * n
     first_visit: list[int | None] = [None] * n
-    arc_counts: dict[tuple[int, int], int] = {}
     moves: list[tuple[int, int]] | None = [] if record_moves else None
     outport = agent.outport
 
@@ -139,12 +120,8 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     first_visit[cur] = 0
     unvisited = n - 1
     covered_at: int | None = 0 if unvisited == 0 else None
-    stopped = False
-    if mode == 0 and unvisited == 0:
-        stopped = True
-        limit = 0
-    if mode == 1 and cur == target:
-        stopped = True
+    stopped = cur == target or unvisited == stop_unvisited
+    if stopped or degs[cur] == 0:
         limit = 0
 
     steps = 0
@@ -158,8 +135,6 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         nxt = port_map[cur][p - 1]
         if moves is not None:
             moves.append((cur, p))
-        arc = (cur, nxt)
-        arc_counts[arc] = arc_counts.get(arc, 0) + 1
         steps += 1
         c = visit_counts[nxt] + 1
         visit_counts[nxt] = c
@@ -167,21 +142,14 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         if c == 1:
             first_visit[nxt] = steps
             unvisited -= 1
-            if mode == 0:
-                if unvisited == 0:
-                    covered_at = steps
-                    stopped = True
-                    break
-            elif mode == 1 and nxt == target:
-                if unvisited == 0:
-                    covered_at = steps
-                stopped = True
-                break
             if unvisited == 0:
                 covered_at = steps
+            if nxt == target or unvisited == stop_unvisited:
+                stopped = True
+                break
 
-    if mode == 2:
-        stopped = steps == stop[1]
+    if budget is not None:
+        stopped = steps == budget
 
     return SimulationTrace(
         graph=g,
@@ -191,22 +159,17 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         moves=moves,
         first_visit=first_visit,
         visit_counts=visit_counts,
-        arc_counts=arc_counts,
         covered_at=covered_at,
         stopped=stopped,
     )
 
 
-def cover_time(trace: SimulationTrace) -> int | None:
-    """Step at which the last unvisited node was reached, if coverage happened."""
-    return trace.covered_at
-
-
 def arc_traversals(trace: SimulationTrace, u: int, v: int) -> int:
-    """How many times the run crossed the arc u -> v."""
-    if v not in trace.graph.port_map[u]:
+    """How many of the recorded moves crossed the arc u -> v."""
+    row = trace.graph.port_map[u]
+    if v not in row:
         raise InvalidArcError(f"({u}, {v}) is not an arc of the graph")
-    return trace.arc_counts.get((u, v), 0)
+    return _moves(trace).count((u, row.index(v) + 1))
 
 
 def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
@@ -232,9 +195,7 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
 
 def outports_taken(trace: SimulationTrace, v: int) -> list[int]:
     """Sequence of outports the run used when leaving v, in order."""
-    if trace.moves is None:
-        raise ValueError("trace was recorded in counters-only mode")
-    return [p for node, p in trace.moves if node == v]
+    return [p for node, p in _moves(trace) if node == v]
 
 
 def export_trace(trace: SimulationTrace) -> str:
@@ -243,11 +204,9 @@ def export_trace(trace: SimulationTrace) -> str:
     One row per step (step,node,outport,next_node), then a summary block
     with covered_at and per-node first_visit / visit_counts.
     """
-    if trace.moves is None:
-        raise ValueError("trace was recorded in counters-only mode")
     g = trace.graph
     lines = ["step,node,outport,next_node"]
-    for k, (node, p) in enumerate(trace.moves):
+    for k, (node, p) in enumerate(_moves(trace)):
         lines.append(f"{k},{node},{p},{g.port_map[node][p - 1]}")
     lines.append("summary")
     covered = "none" if trace.covered_at is None else str(trace.covered_at)

@@ -17,14 +17,14 @@ from portwalk.adversary import (
     verify_path_bound,
     worst_case_path_labeling,
 )
-from portwalk.agents import CyclicAgent, RotorRouter, scripted_port_function
+from portwalk.agents import CyclicAgent, RotorRouter, ScriptedPortFunction
 from portwalk.errors import (
     HorizonExceededError,
     InvalidSizeError,
     InvalidVertexError,
 )
 from portwalk.graphs import build_clique_pendant, deserialize, validate
-from portwalk.simulate import run, visit_count_upto
+from portwalk.simulate import arc_traversals, run, visit_count_upto
 
 ROTOR = RotorRouter()
 ALWAYS_1 = CyclicAgent((1,), name="always-1")
@@ -64,7 +64,7 @@ class TestWorstCasePathLabeling:
         assert worst_case_path_labeling(ROTOR, 2).toward_far == ()
 
     def test_short_script_runs_out(self):
-        agent = scripted_port_function({2: [1]}, "fail")
+        agent = ScriptedPortFunction({2: [1]}, "fail")
         with pytest.raises(HorizonExceededError):
             worst_case_path_labeling(agent, 4)
 
@@ -97,6 +97,14 @@ class TestVerifyPathBound:
         assert r.verdict == "pass"
         assert r.steps == 1 and r.arc_count == 1
 
+    @pytest.mark.parametrize("agent", BATTERY, ids=lambda a: a.name)
+    def test_arc_count_is_recorded_crossings(self, agent):
+        for n in range(2, 31):
+            r = verify_path_bound(agent, n)
+            inst = build_path_instance(agent, n)
+            t = run(inst.graph, agent, inst.start, ("target", inst.target), cap=r.cap)
+            assert r.arc_count == arc_traversals(t, n - 1, n - 2)
+
 
 class TestRarePort:
     def test_rotor_degree_three(self):
@@ -104,11 +112,11 @@ class TestRarePort:
         assert rare_port(ROTOR, 3) == 1
 
     def test_skewed_script(self):
-        agent = scripted_port_function({2: [1, 1]}, "fail")
+        agent = ScriptedPortFunction({2: [1, 1]}, "fail")
         assert rare_port(agent, 2) == 2
 
     def test_horizon_too_short(self):
-        agent = scripted_port_function({2: [1]}, "fail")
+        agent = ScriptedPortFunction({2: [1]}, "fail")
         with pytest.raises(HorizonExceededError):
             rare_port(agent, 2)
 
@@ -185,8 +193,15 @@ class TestBuildCubicInstance:
     def test_stage_named_on_horizon_error(self):
         # enough degree-6 script for the rare port, nothing for degree 2
         tables = {6: [ROTOR.outport(6, i) for i in range(1, 31)], 1: [1]}
-        agent = scripted_port_function(tables, "fail")
+        agent = ScriptedPortFunction(tables, "fail")
         with pytest.raises(HorizonExceededError, match="stage"):
+            build_cubic_instance(agent, 18)
+
+    def test_path_labeling_stage_named(self):
+        # the rare port and the probe run succeed; degree 2 runs out
+        tables = {6: [ROTOR.outport(6, i) for i in range(1, 181)], 2: [1]}
+        agent = ScriptedPortFunction(tables, "fail")
+        with pytest.raises(HorizonExceededError, match="^path-labeling stage: "):
             build_cubic_instance(agent, 18)
 
 
@@ -266,7 +281,7 @@ class TestUniversality:
     @given(st.integers(2, 9), cyclic_tables(2))
     @settings(max_examples=60, deadline=None)
     def test_path_bound_for_random_agents(self, n, tables):
-        agent = scripted_port_function(tables, "cycle")
+        agent = ScriptedPortFunction(tables, "cycle")
         r = verify_path_bound(agent, n)
         assert r.passed
         if r.verdict == "pass":
@@ -276,7 +291,7 @@ class TestUniversality:
     @given(st.integers(6, 12), cyclic_tables(4))
     @settings(max_examples=40, deadline=None)
     def test_cubic_bound_for_random_agents(self, n, tables):
-        agent = scripted_port_function(tables, "cycle")
+        agent = ScriptedPortFunction(tables, "cycle")
         r = verify_cubic_bound(agent, n)
         assert r.passed
         assert r.v_star_visits <= r.v_star_budget
@@ -284,7 +299,7 @@ class TestUniversality:
     @given(cyclic_tables(2), st.integers(3, 30))
     @settings(max_examples=60, deadline=None)
     def test_labeling_matches_majority_rule(self, tables, n):
-        agent = scripted_port_function(tables, "cycle")
+        agent = ScriptedPortFunction(tables, "cycle")
         labeling = worst_case_path_labeling(agent, n)
         prefix = [agent.outport(2, i) for i in range(1, 2 * (n - 2))]
         for i in range(2, n):

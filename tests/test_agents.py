@@ -1,7 +1,5 @@
 """Agent representations and the whiteboard-to-sequence reduction."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +12,6 @@ from portwalk.agents import (
     derive_port_function,
     load_agent_script,
     memory_lower_bound_check,
-    rotor_router_port,
-    scripted_port_function,
     whiteboard_rotor_router,
 )
 from portwalk.errors import (
@@ -25,32 +21,30 @@ from portwalk.errors import (
 )
 
 
+ROTOR = RotorRouter()
+
+
 class TestRotorRouterPort:
     def test_single_port(self):
-        assert rotor_router_port(1, 7) == 1
+        assert ROTOR.outport(1, 7) == 1
 
     def test_cyclic_wrap(self):
-        assert rotor_router_port(3, 4) == 1
+        assert ROTOR.outport(3, 4) == 1
 
     def test_second_visit_degree_two(self):
-        assert rotor_router_port(2, 2) == 2
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValueError):
-            rotor_router_port(0, 1)
-        with pytest.raises(ValueError):
-            rotor_router_port(2, 0)
+        assert ROTOR.outport(2, 2) == 2
 
     @given(st.integers(1, 16), st.integers(0, 30))
     def test_window_uses_each_port_once(self, d, offset):
-        window = [rotor_router_port(d, offset * d + j) for j in range(1, d + 1)]
+        window = [ROTOR.outport(d, offset * d + j) for j in range(1, d + 1)]
         assert sorted(window) == list(range(1, d + 1))
 
     def test_class_matches_function(self):
-        agent = RotorRouter()
+        # the rotor-router is the cycling script of ports 1..d at every degree
+        script = ScriptedPortFunction({d: range(1, d + 1) for d in range(1, 9)})
         for d in range(1, 9):
             for i in range(1, 4 * d):
-                assert agent.outport(d, i) == rotor_router_port(d, i)
+                assert ROTOR.outport(d, i) == script.outport(d, i)
 
 
 class TestCyclicAgent:
@@ -70,46 +64,35 @@ class TestCyclicAgent:
         with pytest.raises(InvalidPortError):
             CyclicAgent((1, 0))
 
-    def test_unlimited_horizon(self):
-        assert CyclicAgent((1, 2)).horizon(2) == math.inf
-
 
 class TestScripted:
     def test_cycle_matches_rotor(self):
-        a = scripted_port_function({2: [1, 2]}, "cycle")
+        a = ScriptedPortFunction({2: [1, 2]}, "cycle")
         for i in range(1, 21):
-            assert a.outport(2, i) == rotor_router_port(2, i)
+            assert a.outport(2, i) == ROTOR.outport(2, i)
 
     def test_fail_beyond_horizon(self):
-        a = scripted_port_function({2: [1]}, "fail")
+        a = ScriptedPortFunction({2: [1]}, "fail")
         assert a.outport(2, 1) == 1
         with pytest.raises(HorizonExceededError):
             a.outport(2, 2)
 
     def test_entry_out_of_range(self):
         with pytest.raises(InvalidPortError):
-            scripted_port_function({2: [3]})
+            ScriptedPortFunction({2: [3]})
 
     def test_missing_degree(self):
-        a = scripted_port_function({2: [1, 2]})
+        a = ScriptedPortFunction({2: [1, 2]})
         with pytest.raises(HorizonExceededError):
             a.outport(3, 1)
 
     def test_degree_one_is_forced(self):
-        a = scripted_port_function({2: [1, 2]}, "fail")
+        a = ScriptedPortFunction({2: [1, 2]}, "fail")
         assert a.outport(1, 99) == 1
-        assert a.horizon(1) == math.inf
-
-    def test_horizons(self):
-        a = scripted_port_function({2: [1, 2, 2]}, "fail")
-        assert a.horizon(2) == 3
-        assert a.horizon(5) == 0
-        b = scripted_port_function({2: [1, 2, 2]}, "cycle")
-        assert b.horizon(2) == math.inf
 
     def test_bad_extension(self):
         with pytest.raises(ValueError):
-            scripted_port_function({2: [1]}, "extend-forever")
+            ScriptedPortFunction({2: [1]}, "extend-forever")
 
     def test_load_script(self):
         a = load_agent_script('{"tables": {"2": [1, 2], "3": [3]}, '
@@ -151,7 +134,7 @@ class TestDerivePortFunction:
         wb = whiteboard_rotor_router()
         for d in range(1, 17):
             got = derive_port_function(wb, d, 10 * d)
-            want = [rotor_router_port(d, i) for i in range(1, 10 * d + 1)]
+            want = [ROTOR.outport(d, i) for i in range(1, 10 * d + 1)]
             assert got == want
 
     def test_deterministic(self):
@@ -162,8 +145,8 @@ class TestDerivePortFunction:
         wb = whiteboard_rotor_router()
         pf = wb.as_port_function()
         # out-of-order queries hit and extend the per-degree cache
-        assert pf.outport(3, 7) == rotor_router_port(3, 7)
-        assert pf.outport(3, 2) == rotor_router_port(3, 2)
+        assert pf.outport(3, 7) == ROTOR.outport(3, 7)
+        assert pf.outport(3, 2) == ROTOR.outport(3, 2)
         assert pf.outport(6, 1) == 1
 
     @given(st.integers(2, 64), st.integers(0, 5))

@@ -5,7 +5,12 @@ import json
 import pytest
 
 from portwalk.cli import main, parse_stop, resolve_agent, UsageError
+from portwalk.experiments import battery, cubic_bound_sweep, path_bound_sweep
 from portwalk.graphs import PathLabeling, build_path, serialize
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 @pytest.fixture
@@ -73,6 +78,46 @@ class TestSimulateCommand:
                      "--agent", "rotor-router", "--stop", "whenever"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [["--cap", "0"], ["--stop", "steps:-1"]])
+    def test_bad_limit(self, path_graph_file, flags, capsys):
+        code = main(["simulate", "--graph", path_graph_file,
+                     "--agent", "rotor-router", *flags])
+        assert code == 2
+        assert_one_error_line(capsys.readouterr().err)
+
+    def test_one_node_graph_takes_no_step(self, tmp_path, capsys):
+        f = tmp_path / "one.json"
+        f.write_text('{"n": 1, "ports": [[]]}')
+        code = main(["simulate", "--graph", str(f), "--agent", "rotor-router",
+                     "--stop", "steps:3"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "step,node,outport,next_node\n"
+            "summary\n"
+            "covered_at,0\n"
+            "node,first_visit,visit_count\n"
+            "0,0,1\n"
+        )
+
+    @pytest.mark.parametrize("doc", [
+        '{"tables": [[1, 2]]}',
+        '{"tables": {"2": "12"}}',
+        '{"tables": {"2": [true, true]}}',
+        '{"tables": {"2": [1.0, 2]}}',
+        '{"tables": {"0": [1]}}',
+        '{"tables": {"-2": [1]}}',
+        '{"tables": {"two": [1]}}',
+        '{"tables": {"2": []}}',
+    ])
+    def test_malformed_agent_script(self, path_graph_file, tmp_path, doc, capsys):
+        f = tmp_path / "agent.json"
+        f.write_text(doc)
+        code = main(["simulate", "--graph", path_graph_file, "--agent", str(f)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "bad agent script" in err
+
 
 class TestAdversaryPathCommand:
     def test_pass_exit_zero(self, capsys):
@@ -116,6 +161,22 @@ class TestAdversaryCubicCommand:
         code = main(["adversary-cubic", "--agent", "rotor-router", "--n", "18",
                      "--start", "99"])
         assert code == 2
+
+
+class TestReportRowsMatchSweeps:
+    @pytest.mark.parametrize("command, sweep, n", [
+        ("adversary-path", path_bound_sweep, 12),
+        ("adversary-cubic", cubic_bound_sweep, 18),
+    ])
+    @pytest.mark.parametrize("agent", sorted(battery()))
+    def test_same_rows(self, command, sweep, n, agent, capsys):
+        report = sweep({agent: battery()[agent]}, [n])
+        main([command, "--agent", agent, "--n", str(n)])
+        assert capsys.readouterr().out == report.to_csv()
+        main([command, "--agent", agent, "--n", str(n), "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["rows"] == [vars(r) for r in report.rows]
+        assert doc["params"] == {"agent": agent, "n": n}
 
 
 class TestBruteforceCommand:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portwalk.agents import CyclicAgent, RotorRouter, scripted_port_function
+from portwalk.agents import CyclicAgent, RotorRouter, ScriptedPortFunction
 from portwalk.errors import (
     HorizonExceededError,
     InvalidArcError,
@@ -20,17 +20,15 @@ from portwalk.graphs import (
     PathLabeling,
     build_clique_pendant,
     build_path,
+    deserialize,
     random_connected_graph,
     relabel,
 )
 from portwalk.simulate import (
     arc_traversals,
-    cover_time,
     export_trace,
-    initial_state,
     outports_taken,
     run,
-    step,
     visit_count_upto,
 )
 
@@ -50,41 +48,27 @@ def path3():
 class TestStep:
     def test_forced_move_on_edge(self):
         g = build_path(PathLabeling(2, ()))
-        st_ = initial_state(g, 0)
-        step(g, ROTOR, st_)
-        assert st_.current == 1
-        assert st_.step == 1
-        assert st_.visit_index == [1, 0]
+        t = run(g, ROTOR, 0, ("steps", 1))
+        assert t.final == 1
+        assert t.steps == 1
+        assert t.moves == [(0, 1)]
+        assert t.visit_counts == [1, 1]
 
     def test_first_step_from_far_end(self):
-        g = path3()
-        st_ = initial_state(g, 2)
-        step(g, ROTOR, st_)
-        assert st_.current == 1
+        t = run(path3(), ROTOR, 2, ("steps", 1))
+        assert t.final == 1
 
     def test_horizon_propagates(self):
         g = path3()
-        agent = scripted_port_function({2: [1]}, "fail")
-        st_ = initial_state(g, 2)
-        step(g, agent, st_)   # leaves v_3 through its only port
-        step(g, agent, st_)   # first visit to v_2, scripted
-        step(g, agent, st_)   # back at v_3
+        agent = ScriptedPortFunction({2: [1]}, "fail")
+        # out of v_3, v_2's one scripted exit back to v_3, out of v_3 again
+        assert run(g, agent, 2, ("steps", 3)).moves == [(2, 1), (1, 1), (2, 1)]
         with pytest.raises(HorizonExceededError):
-            step(g, agent, st_)  # second visit to v_2 is beyond the table
-
-    def test_matches_run(self):
-        g = random_connected_graph(7, 10, seed=5)
-        trace = run(g, ROTOR, 0, ("steps", 40))
-        st_ = initial_state(g, 0)
-        positions = [st_.current]
-        for _ in range(40):
-            step(g, ROTOR, st_)
-            positions.append(st_.current)
-        assert positions == trace.positions()
+            run(g, agent, 2, ("steps", 4))  # second visit to v_2 is beyond the table
 
     def test_bad_start(self):
         with pytest.raises(InvalidVertexError):
-            initial_state(path3(), 5)
+            run(path3(), ROTOR, 5, ("steps", 1))
 
 
 class TestRun:
@@ -103,7 +87,7 @@ class TestRun:
         assert t.first_visit == [4, 1, 0]
 
     def test_ping_pong_never_stops(self):
-        agent = scripted_port_function({2: [1]}, "cycle")
+        agent = ScriptedPortFunction({2: [1]}, "cycle")
         t = run(path3(), agent, 2, ("target", 0), cap=100)
         assert not t.stopped
         assert t.steps == 100
@@ -128,6 +112,28 @@ class TestRun:
         with pytest.raises(ValueError):
             run(path3(), ROTOR, 0, "everywhere")
 
+    @pytest.mark.parametrize("stop, cap", [
+        (("steps", 3), 0),
+        (("steps", 3), True),
+        (("steps", 3), 5.0),
+        (("steps", -1), None),
+        (("steps", 2.5), None),
+        (("steps", True), None),
+        (("target", True), None),
+        (("target", 0.0), None),
+    ])
+    def test_bad_limits(self, stop, cap):
+        with pytest.raises(InvalidLimitError):
+            run(path3(), ROTOR, 2, stop, cap=cap)
+
+    def test_degree_zero_start_takes_no_step(self):
+        g = deserialize('{"n": 1, "ports": [[]]}')
+        t = run(g, ROTOR, 0, ("steps", 3))
+        assert t.steps == 0
+        assert t.moves == []
+        assert not t.stopped
+        assert t.covered_at == 0
+
     def test_covered_at_is_max_first_visit(self):
         g = random_connected_graph(10, 20, seed=9)
         t = run(g, ROTOR, 0, "covered")
@@ -143,12 +149,12 @@ class TestRun:
 class TestCoverTime:
     def test_passthrough(self):
         g = build_path(PathLabeling(2, ()))
-        assert cover_time(run(g, ROTOR, 1, "covered")) == 1
+        assert run(g, ROTOR, 1, "covered").covered_at == 1
 
     def test_none_when_not_covered(self):
-        agent = scripted_port_function({2: [1]}, "cycle")
+        agent = ScriptedPortFunction({2: [1]}, "cycle")
         t = run(path3(), agent, 2, ("target", 0), cap=50)
-        assert cover_time(t) is None
+        assert t.covered_at is None
 
     def test_worst_path_labeling_for_rotor(self):
         # enumerated separately: the worst 4-node labeling costs 9 steps
@@ -156,7 +162,7 @@ class TestCoverTime:
         result = brute_force_path_worst_case(ROTOR, 4)
         assert result.max_steps == 9
         g = build_path(result.labeling)
-        assert cover_time(run(g, ROTOR, 3, "covered")) == 9
+        assert run(g, ROTOR, 3, "covered").covered_at == 9
 
 
 class TestArcTraversals:
@@ -176,6 +182,11 @@ class TestArcTraversals:
         t = run(path3(), ROTOR, 2, ("target", 0))
         with pytest.raises(InvalidArcError):
             arc_traversals(t, 0, 2)
+
+    def test_counters_only_rejected(self):
+        t = run(path3(), ROTOR, 2, ("target", 0), record_moves=False)
+        with pytest.raises(ValueError):
+            arc_traversals(t, 2, 1)
 
 
 class TestVisitCountUpto:
@@ -228,7 +239,8 @@ class TestTraceInvariants:
         g = random_connected_graph(n, m, seed)
         t = run(g, BATTERY[agent_idx], seed % n, ("steps", 200))
         assert sum(t.visit_counts) == t.steps + 1
-        assert sum(t.arc_counts.values()) == t.steps
+        arcs = [(u, v) for u in range(n) for v in g.port_map[u]]
+        assert sum(arc_traversals(t, u, v) for u, v in arcs) == t.steps
         assert len(t.moves) == t.steps
 
     @given(graph_params, st.sampled_from(range(len(BATTERY))))
@@ -292,7 +304,7 @@ class TestExport:
         )
 
     def test_uncovered_summary(self):
-        agent = scripted_port_function({2: [1]}, "cycle")
+        agent = ScriptedPortFunction({2: [1]}, "cycle")
         t = run(path3(), agent, 2, ("target", 0), cap=4)
         text = export_trace(t)
         assert "covered_at,none" in text
