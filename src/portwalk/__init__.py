@@ -49,6 +49,7 @@ from .experiments import (
     ReportRow,
     battery,
     brute_force_path_worst_case,
+    brute_force_rows,
     cubic_bound_rows,
     cubic_bound_sweep,
     path_bound_rows,

@@ -18,11 +18,12 @@ Clique construction. For a degree budget d, some port p appears at most
 d-1 times among the agent's first d(d-1) exits at degree d (pigeonhole).
 Build a d-clique with a pendant behind port p of every clique node, probe
 the agent on it for d^2(d-1) steps, and pick a clique node v* visited at
-most d(d-1) times (pigeonhole again). Replacing v*'s pendant with a
-majority-labeled path makes the walk reach the far end of that path only
-after entering it d times via the rare port, which cannot happen within
-d^2(d-1) steps. Cover time is therefore at least d^2(d-1) with d about a
-third of the node count, i.e. cubic.
+most d(d-1) times (pigeonhole again). Replace v*'s pendant with a
+majority-labeled path whose labeling includes v* as its last node, so the
+path's last majority value is the port back to v*. The walk then reaches
+the far end of that path only after entering it d times via the rare
+port, which cannot happen within d^2(d-1) steps. Cover time is therefore
+at least d^2(d-1) with d about a third of the node count, i.e. cubic.
 """
 
 from __future__ import annotations
@@ -70,31 +71,29 @@ class AdversarialInstance:
             raise InvalidSizeError("certified bound must be positive")
 
 
-def majority_element(seq: Sequence[int], prefix_len: int, threshold: int) -> int:
-    """Value in {1, 2} occurring at least threshold times in the prefix.
+def majority_element(seq: Sequence[int], k: int) -> int:
+    """Value in {1, 2} occurring at least k times among seq's first 2k-1.
 
-    Requires prefix_len == 2*threshold - 1, which makes existence certain
-    and a tie impossible. A prefix longer than the available sequence
-    raises HorizonExceededError.
+    An odd prefix of 2k-1 values makes existence certain and a tie
+    impossible. A prefix longer than the available sequence raises
+    HorizonExceededError.
     """
-    if prefix_len != 2 * threshold - 1:
-        raise ValueError(
-            f"prefix length {prefix_len} does not match threshold {threshold}"
-        )
-    if prefix_len > len(seq):
+    need = 2 * k - 1
+    if need > len(seq):
         raise HorizonExceededError(
-            f"need {prefix_len} sequence values, have {len(seq)}"
+            f"need {need} sequence values, have {len(seq)}"
         )
-    ones = sum(1 for x in seq[:prefix_len] if x == 1)
-    return 1 if ones >= threshold else 2
+    ones = sum(1 for x in seq[:need] if x == 1)
+    return 1 if ones >= k else 2
 
 
-def _degree2_prefix(agent: PortFunction, length: int) -> list[int]:
+def _exits(agent: PortFunction, d: int, k: int) -> list[int]:
+    """port_d(1..k), each checked to be an int port in 1..d."""
     out = []
-    for i in range(1, length + 1):
-        p = agent.outport(2, i)
-        if p not in (1, 2):
-            raise AgentViolationError(f"degree-2 exit {i} is {p!r}")
+    for i in range(1, k + 1):
+        p = agent.outport(d, i)
+        if not isinstance(p, int) or not 1 <= p <= d:
+            raise AgentViolationError(f"degree-{d} exit {i} is {p!r}")
         out.append(p)
     return out
 
@@ -109,12 +108,8 @@ def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     """
     if n < 2:
         raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")
-    if n == 2:
-        return PathLabeling(2, ())
-    prefix = _degree2_prefix(agent, 2 * (n - 2) - 1)
-    toward_far = tuple(
-        majority_element(prefix, 2 * (i - 1) - 1, i - 1) for i in range(2, n)
-    )
+    prefix = _exits(agent, 2, 2 * (n - 2) - 1)
+    toward_far = tuple(majority_element(prefix, i - 1) for i in range(2, n))
     return PathLabeling(n, toward_far)
 
 
@@ -197,12 +192,8 @@ def rare_port(agent: PortFunction, d: int) -> int:
     """
     if d < 2:
         raise InvalidSizeError(f"need degree at least 2, got {d}")
-    length = d * (d - 1)
     counts = [0] * (d + 1)
-    for i in range(1, length + 1):
-        p = agent.outport(d, i)
-        if not isinstance(p, int) or not 1 <= p <= d:
-            raise AgentViolationError(f"degree-{d} exit {i} is {p!r}")
+    for p in _exits(agent, d, d * (d - 1)):
         counts[p] += 1
     for p in range(1, d + 1):
         if counts[p] <= d - 1:
@@ -211,15 +202,15 @@ def rare_port(agent: PortFunction, d: int) -> int:
 
 
 def select_v_star(trace: SimulationTrace, clique_nodes: Sequence[int],
-                  budget: int, step_limit: int) -> int:
-    """Smallest-id clique node occupied at most budget times before step_limit.
+                  budget: int) -> int:
+    """Smallest-id clique node occupied at most budget times during the probe.
 
-    The probe run is exactly step_limit steps, so the occupancies sum to
-    step_limit and some clique node must stay within budget; not finding
-    one means the simulator itself is broken, which aborts loudly.
+    The probe run's occupancies before its last step sum to its step
+    count, so some clique node must stay within budget; not finding one
+    means the simulator itself is broken, which aborts loudly.
     """
     for v in sorted(clique_nodes):
-        if visit_count_upto(trace, v, step_limit) <= budget:
+        if visit_count_upto(trace, v, trace.steps) <= budget:
             return v
     raise RuntimeError(
         "internal error: every clique node exceeded its visit budget"
@@ -234,8 +225,9 @@ def build_cubic_instance(agent: PortFunction, n: int,
     with pendants behind p; probe the agent on it from the start node for
     d^2(d-1) steps; pick the under-visited clique node v*; replace v*'s
     pendant with a path of d+1+(n mod 3) nodes labeled by the degree-2
-    majority rule, with the glued endpoint's majority value pointing back
-    at v*. The certificate is cover time >= d^2(d-1).
+    majority rule, reading v* as the path's last node so that the glued
+    endpoint's majority value points back at v*. The certificate is cover
+    time >= d^2(d-1).
 
     HorizonExceededError from any stage is re-raised naming the stage.
     """
@@ -245,30 +237,20 @@ def build_cubic_instance(agent: PortFunction, n: int,
     if not 0 <= start < d:
         raise InvalidVertexError(f"start must be a clique node 0..{d - 1}, got {start}")
 
+    steps_budget = d * d * (d - 1)
+    path_len = n - 2 * d + 1  # d+1 plus the n mod 3 remainder
+    stage = "rare-port"
     try:
         p = rare_port(agent, d)
+        g1 = build_clique_pendant(d, p)
+        stage = "probe-run"
+        probe = run(g1, agent, start, ("steps", steps_budget), record_moves=False)
+        v_star = select_v_star(probe, range(d), d * (d - 1))
+        stage = "path-labeling"
+        labeling = worst_case_path_labeling(agent, path_len + 1)  # v* is v_n
     except HorizonExceededError as e:
-        raise HorizonExceededError(f"rare-port stage: {e}") from e
-    g1 = build_clique_pendant(d, p)
-
-    steps_budget = d * d * (d - 1)
-    try:
-        probe = run(g1, agent, start, ("steps", steps_budget),
-                    cap=steps_budget, record_moves=False)
-    except HorizonExceededError as e:
-        raise HorizonExceededError(f"probe-run stage: {e}") from e
-    v_star = select_v_star(probe, range(d), d * (d - 1), steps_budget)
-
-    path_len = n - 2 * d + 1  # d+1 plus the n mod 3 remainder
-    # The glued endpoint is internal node v_{path_len} of a one-longer
-    # path whose v_{path_len+1} is v*, so that path's last majority value
-    # is the endpoint's port back to v*.
-    try:
-        alpha = worst_case_path_labeling(agent, path_len + 1).toward_far
-    except HorizonExceededError as e:
-        raise HorizonExceededError(f"path-labeling stage: {e}") from e
-    labeling = PathLabeling(path_len, alpha[:-1])
-    graph = replace_pendant_with_path(g1, v_star, labeling, back_port=alpha[-1])
+        raise HorizonExceededError(f"{stage} stage: {e}") from e
+    graph = replace_pendant_with_path(g1, v_star, labeling)
 
     return AdversarialInstance(
         graph=graph,
@@ -280,7 +262,7 @@ def build_cubic_instance(agent: PortFunction, n: int,
             "p": p,
             "v_star": v_star,
             "path_len": path_len,
-            "alpha": list(alpha),
+            "alpha": list(labeling.toward_far),
         },
     )
 
@@ -324,7 +306,7 @@ def verify_cubic_bound(agent: PortFunction, n: int, cap: int | None = None,
     if cap is None:
         cap = 4 * g.n ** 3
     big = run(g, agent, start, "covered", cap=cap, record_moves=False)
-    replay = run(g, agent, start, ("steps", bound), cap=bound, record_moves=False)
+    replay = run(g, agent, start, ("steps", bound), record_moves=False)
     visits = visit_count_upto(replay, v_star, replay.steps)
     budget = d * (d - 1)
     cross_ok = visits <= budget

@@ -106,7 +106,10 @@ def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction
     Each degree key is a positive integer and each table a non-empty list
     of integer ports. "extension" accepts "cycle" or "fail".
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("agent script is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tables"), dict):
         raise ValueError("agent script must be an object whose 'tables' is an object")
     tables = {}
@@ -159,24 +162,19 @@ def derive_port_function(agent: WhiteboardAgent, d: int, k: int) -> list[int]:
     limit = None if budget is None else 1 << budget
     state = agent.initial_state
     out: list[int] = []
-    for _ in range(k):
+    while True:  # check the initial state, then every state a transition returns
         if not isinstance(state, int) or state < 0:
             raise AgentViolationError(f"node state {state!r} is not a non-negative int")
         if limit is not None and state >= limit:
             raise AgentViolationError(
                 f"node state {state} needs more than {budget} bits at degree {d}"
             )
+        if len(out) == k:
+            return out
         state, port = agent.transition(state, d)
         if not isinstance(port, int) or not 1 <= port <= d:
             raise AgentViolationError(f"emitted port {port!r} at degree {d}")
         out.append(port)
-    if not isinstance(state, int) or state < 0:
-        raise AgentViolationError(f"node state {state!r} is not a non-negative int")
-    if limit is not None and state >= limit:
-        raise AgentViolationError(
-            f"node state {state} needs more than {budget} bits at degree {d}"
-        )
-    return out
 
 
 class _ReducedWhiteboard(PortFunction):

@@ -18,9 +18,9 @@ from .adversary import export_instance, verify_cubic_bound, verify_path_bound
 from .errors import PortWalkError
 from .experiments import (
     ExperimentReport,
-    ReportRow,
     battery,
     brute_force_path_worst_case,
+    brute_force_rows,
     cubic_bound_rows,
     path_bound_rows,
     rotor_upper_bound_sweep,
@@ -111,17 +111,9 @@ def cmd_adversary_cubic(args) -> int:
 
 def cmd_bruteforce_path(args) -> int:
     agent = resolve_agent(args.agent)
-    result = brute_force_path_worst_case(agent, args.n, cap=args.cap)
-    bound = (args.n - 1) ** 2
-    ok = (result.max_steps is not None and result.max_steps >= bound) \
-        or result.unstopped > 0
-    report = ExperimentReport("bruteforce-path",
-                              {"agent": agent.name, "n": args.n})
-    measured = "" if result.max_steps is None else str(result.max_steps)
-    report.rows.append(ReportRow(
-        "bruteforce-path", agent.name, args.n,
-        f"unstopped={result.unstopped}", str(bound), measured,
-        "pass" if ok else "fail"))
+    r = brute_force_path_worst_case(agent, args.n, cap=args.cap)
+    report = ExperimentReport("bruteforce-path", {"agent": agent.name, "n": args.n},
+                              brute_force_rows(agent.name, r))
     return write_report(report, args)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -112,8 +113,6 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
         raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")
     if n > 14:
         raise InvalidSizeError(f"n={n} means 2^{n - 2} labelings; use n <= 14")
-    if cap is None:
-        cap = 4 * n ** 3
     best: int | None = None
     best_labeling: PathLabeling | None = None
     unstopped = 0
@@ -128,6 +127,19 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
             best_labeling = labeling
     return BruteForceResult(n=n, max_steps=best, labeling=best_labeling,
                             unstopped=unstopped)
+
+
+def brute_force_rows(agent: str, r: BruteForceResult) -> list[ReportRow]:
+    """The worst-case row of one enumeration, checked against (n-1)^2.
+
+    Labelings whose run never reached the target count as a pass: their
+    cost is at least the cap.
+    """
+    bound = (r.n - 1) ** 2
+    ok = (r.max_steps is not None and r.max_steps >= bound) or r.unstopped > 0
+    measured = "" if r.max_steps is None else str(r.max_steps)
+    return [ReportRow("bruteforce-path", agent, r.n, f"unstopped={r.unstopped}",
+                      str(bound), measured, "pass" if ok else "fail")]
 
 
 def path_bound_rows(r: PathBoundReport) -> list[ReportRow]:
@@ -185,8 +197,8 @@ def rotor_upper_bound_sweep(cases: Sequence[tuple[int, int, int]],
     echoed in the report. Failing to cover at all is a hard fail: the
     rotor-router covers every connected graph.
     """
-    if factor <= 0:
-        raise InvalidLimitError(f"factor must be positive, got {factor}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise InvalidLimitError(f"factor must be positive and finite, got {factor}")
     report = ExperimentReport(
         "rotor-upper",
         {"factor": factor, "cases": [list(c) for c in sorted(cases)]},

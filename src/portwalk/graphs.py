@@ -138,27 +138,20 @@ def build_clique_pendant(d: int, p: int) -> PortLabeledGraph:
     return _as_graph(2 * d, rows)
 
 
-def replace_pendant_with_path(
-    g1: PortLabeledGraph,
-    v_star: int,
-    path_labeling: PathLabeling,
-    back_port: int = 2,
-) -> PortLabeledGraph:
+def replace_pendant_with_path(g1: PortLabeledGraph, v_star: int,
+                              labeling: PathLabeling) -> PortLabeledGraph:
     """Swap the pendant of one clique node for a path.
 
     g1 must be a clique-with-pendants graph (see build_clique_pendant)
-    and v_star one of its clique nodes. The pendant of v_star is removed
-    and a path of path_labeling.n nodes is glued in its place: v_star's
-    old pendant port now leads to the path endpoint adjacent to it
-    (the entry endpoint), and the opposite endpoint of the path is the
-    far target.
+    and v_star one of its clique nodes. The labeling describes the path
+    including v_star itself as its last node v_n: v_star's pendant is
+    removed and v_{n-1} .. v_1 take its place, so v_star's old pendant
+    port leads to the entry endpoint v_{n-1}, whose labeled port toward
+    v_n leads back to v_star, and v_1 is the far target.
 
     Ids: clique nodes keep 0..d-1; surviving pendants shift down past the
-    removed one; the path occupies the last path_labeling.n ids starting
-    with the entry endpoint and ending with the far target. Within the
-    path, internal labels come from path_labeling read with the far
-    target in the v_1 role; the entry endpoint routes back_port to v_star
-    and the other port into the path.
+    removed one; v_{n-1} .. v_1 take the last labeling.n - 1 ids in that
+    order, from the entry endpoint to the far target.
     """
     d = g1.n // 2
     if g1.n != 2 * d or d < 2:
@@ -168,42 +161,21 @@ def replace_pendant_with_path(
     removed = d + v_star
     if g1.degree(removed) != 1 or g1.port_map[removed][0] != v_star:
         raise InvalidVertexError(f"{v_star} has no pendant to replace")
-    length = path_labeling.n
-    if length < d + 1:
+    last = labeling.n - 1  # build_path's id for v_n, which is v_star here
+    if last < d + 1:
         raise InvalidSizeError(
-            f"replacement path needs at least {d + 1} nodes, got {length}"
+            f"replacement path needs at least {d + 1} nodes besides v_star, got {last}"
         )
-    if back_port not in (1, 2):
-        raise InvalidPortError(f"back port must be 1 or 2, got {back_port}")
 
-    def remap(x: int) -> int:
-        return x if x < removed else x - 1
-
-    entry = 2 * d - 1  # first path id; far target is entry + length - 1
-    rows: list[list[int]] = []
-    for v in range(g1.n):
-        if v == removed:
-            continue
-        row = [remap(w) for w in g1.port_map[v]]
-        if v == v_star:
-            row[g1.port_to(v_star, removed) - 1] = entry
-        rows.append(row)
-
-    # Path ids run entry .. entry+length-1, from the glued endpoint to the
-    # far target; the node in role v_i therefore has id entry + length - i.
-    entry_row = [0, 0]
-    entry_row[back_port - 1] = v_star
-    entry_row[2 - back_port] = entry + 1
-    rows.append(entry_row)
-    for i in range(length - 1, 1, -1):  # internal v_i, descending role index
-        away = path_labeling.toward_far[i - 2]
-        row = [0, 0]
-        vid = entry + length - i
-        row[away - 1] = vid - 1  # toward v_{i+1}, i.e. toward the entry
-        row[2 - away] = vid + 1  # toward v_{i-1}, i.e. toward the target
-        rows.append(row)
-    rows.append([entry + length - 2])  # far target, single port back inward
-    return _as_graph(2 * d - 1 + length, rows)
+    rows = [[w if w < removed else w - 1 for w in row]
+            for v, row in enumerate(g1.port_map) if v != removed]
+    entry = 2 * d - 1
+    rows[v_star][g1.port_to(v_star, removed) - 1] = entry
+    # build_path gives v_k id k-1; glued in, v_k (k < n) gets entry + last - k.
+    ids = [entry + last - 1 - j for j in range(last)] + [v_star]
+    path = build_path(labeling).port_map
+    rows += [[ids[w] for w in path[j]] for j in reversed(range(last))]
+    return _as_graph(entry + last, rows)
 
 
 def random_connected_graph(n: int, m: int, seed: int) -> PortLabeledGraph:
@@ -338,6 +310,8 @@ def deserialize(text: str) -> PortLabeledGraph:
         doc = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as e:
         raise GraphParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise GraphParseError("document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise GraphParseError("top level is not an object")
     missing = {"n", "ports"} - set(doc)

@@ -109,7 +109,6 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
 
     port_map = g.port_map
     degs = [len(row) for row in port_map]
-    visit_index = [0] * n
     visit_counts = [0] * n
     first_visit: list[int | None] = [None] * n
     moves: list[tuple[int, int]] | None = [] if record_moves else None
@@ -124,29 +123,36 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     if stopped or degs[cur] == 0:
         limit = 0
 
-    steps = 0
-    while steps < limit:
-        d = degs[cur]
-        i = visit_index[cur] + 1
-        visit_index[cur] = i
-        p = outport(d, i)
-        if p < 1 or p > d:
-            raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
-        nxt = port_map[cur][p - 1]
-        if moves is not None:
-            moves.append((cur, p))
-        steps += 1
-        c = visit_counts[nxt] + 1
-        visit_counts[nxt] = c
-        cur = nxt
-        if c == 1:
-            first_visit[nxt] = steps
-            unvisited -= 1
-            if unvisited == 0:
-                covered_at = steps
-            if nxt == target or unvisited == stop_unvisited:
-                stopped = True
-                break
+    # Every earlier occupancy of cur ended in an exit, so its visit index
+    # is its occupancy count. A non-int port fails the range test or the
+    # row lookup with a TypeError raised in this frame, not in the agent.
+    steps, p = 0, 1
+    try:
+        while steps < limit:
+            d = degs[cur]
+            p = outport(d, visit_counts[cur])
+            if p < 1 or p > d:
+                raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
+            nxt = port_map[cur][p - 1]
+            if moves is not None:
+                moves.append((cur, p))
+            steps += 1
+            c = visit_counts[nxt] + 1
+            visit_counts[nxt] = c
+            cur = nxt
+            if c == 1:
+                first_visit[nxt] = steps
+                unvisited -= 1
+                if unvisited == 0:
+                    covered_at = steps
+                if nxt == target or unvisited == stop_unvisited:
+                    stopped = True
+                    break
+    except TypeError as e:
+        if e.__traceback__.tb_next is None and not isinstance(p, int):
+            raise AgentViolationError(
+                f"agent returned port {p!r} at degree {d}") from None
+        raise
 
     if budget is not None:
         stopped = steps == budget

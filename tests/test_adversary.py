@@ -1,5 +1,6 @@
 """Worst-case constructions and their certificates."""
 
+import hashlib
 import json
 
 import pytest
@@ -17,12 +18,14 @@ from portwalk.adversary import (
     verify_path_bound,
     worst_case_path_labeling,
 )
-from portwalk.agents import CyclicAgent, RotorRouter, ScriptedPortFunction
+from portwalk.agents import CyclicAgent, PortFunction, RotorRouter, ScriptedPortFunction
 from portwalk.errors import (
+    AgentViolationError,
     HorizonExceededError,
     InvalidSizeError,
     InvalidVertexError,
 )
+from portwalk.experiments import battery
 from portwalk.graphs import build_clique_pendant, deserialize, validate
 from portwalk.simulate import arc_traversals, run, visit_count_upto
 
@@ -38,18 +41,14 @@ BATTERY = [
 
 class TestMajorityElement:
     def test_counts_prefix(self):
-        assert majority_element([1, 2, 1, 2, 2], 3, 2) == 1
+        assert majority_element([1, 2, 1, 2, 2], 2) == 1
 
     def test_single_element(self):
-        assert majority_element([2], 1, 1) == 2
+        assert majority_element([2], 1) == 2
 
     def test_prefix_longer_than_sequence(self):
         with pytest.raises(HorizonExceededError):
-            majority_element([1], 3, 2)
-
-    def test_prefix_threshold_mismatch(self):
-        with pytest.raises(ValueError):
-            majority_element([1, 1, 1, 1], 4, 2)
+            majority_element([1], 2)
 
 
 class TestWorstCasePathLabeling:
@@ -105,6 +104,15 @@ class TestVerifyPathBound:
             t = run(inst.graph, agent, inst.start, ("target", inst.target), cap=r.cap)
             assert r.arc_count == arc_traversals(t, n - 1, n - 2)
 
+    @pytest.mark.parametrize("n", [2, 5])
+    @pytest.mark.parametrize("port", [1.0, None, "1"])
+    def test_non_integer_port(self, port, n):
+        # n=2 has no internal node, so the walk itself meets the port.
+        agent = PortFunction()
+        agent.outport = lambda d, i: port
+        with pytest.raises(AgentViolationError, match=repr(port)):
+            verify_path_bound(agent, n)
+
 
 class TestRarePort:
     def test_rotor_degree_three(self):
@@ -127,27 +135,34 @@ class TestRarePort:
     def test_never_used_port_is_rare(self):
         assert rare_port(ALWAYS_1, 4) == 2
 
+    @pytest.mark.parametrize("port", [1.0, None, 0, 4])
+    def test_bad_exit_rejected(self, port):
+        agent = PortFunction()
+        agent.outport = lambda d, i: port
+        with pytest.raises(AgentViolationError, match=f"degree-3 exit 1 is {port!r}"):
+            rare_port(agent, 3)
+
 
 class TestSelectVStar:
     def test_rotor_small_probe(self):
         # hand-run: rotor on the 4-node instance visits node 0 twice in 4 steps
         g1 = build_clique_pendant(2, rare_port(ROTOR, 2))
         t = run(g1, ROTOR, 0, ("steps", 4))
-        v = select_v_star(t, range(2), budget=2, step_limit=4)
+        v = select_v_star(t, range(2), budget=2)
         assert v == 0
         assert visit_count_upto(t, 0, 4) == 2
 
     def test_smallest_id_wins(self):
         g1 = build_clique_pendant(3, 1)
         t = run(g1, ROTOR, 0, ("steps", 18))
-        picked = select_v_star(t, range(3), budget=6, step_limit=18)
+        picked = select_v_star(t, range(3), budget=6)
         for v in range(picked):
             assert visit_count_upto(t, v, 18) > 6
 
     def test_generous_budget_picks_zero(self):
         g1 = build_clique_pendant(3, 1)
         t = run(g1, ROTOR, 1, ("steps", 10))
-        assert select_v_star(t, range(3), budget=10, step_limit=10) == 0
+        assert select_v_star(t, range(3), budget=10) == 0
 
 
 class TestBuildCubicInstance:
@@ -303,7 +318,7 @@ class TestUniversality:
         labeling = worst_case_path_labeling(agent, n)
         prefix = [agent.outport(2, i) for i in range(1, 2 * (n - 2))]
         for i in range(2, n):
-            want = majority_element(prefix, 2 * (i - 1) - 1, i - 1)
+            want = majority_element(prefix, i - 1)
             assert labeling.toward_far[i - 2] == want
 
 
@@ -312,7 +327,7 @@ class TestInternalErrorPaths:
         g1 = build_clique_pendant(2, 1)
         t = run(g1, ROTOR, 0, ("steps", 4))
         with pytest.raises(RuntimeError, match="internal error"):
-            select_v_star(t, range(2), budget=-1, step_limit=4)
+            select_v_star(t, range(2), budget=-1)
 
 
 class TestExportInstance:
@@ -326,6 +341,17 @@ class TestExportInstance:
         assert sidecar["bound"] == 180
         assert set(sidecar["log"]) == {"p", "v_star", "alpha"}
         assert sidecar["log"]["alpha"] == inst.construction_log["alpha"]
+
+    def test_battery_instances_golden(self):
+        # SHA-256 of every exported battery instance, n = 6..59, agents in
+        # name order, each graph document followed by its sidecar.
+        h = hashlib.sha256()
+        for _, agent in sorted(battery().items()):
+            for n in range(6, 60):
+                for text in export_instance(build_cubic_instance(agent, n)):
+                    h.update(text.encode())
+        assert h.hexdigest() == (
+            "4388c660ee3548d1939502374b5a39e5f906658bd0db1db6272ea8c68a55b3c0")
 
     def test_path_instance_round_trip(self):
         inst = build_path_instance(ROTOR, 6)

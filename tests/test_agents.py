@@ -130,6 +130,14 @@ class TestDerivePortFunction:
         with pytest.raises(AgentViolationError):
             derive_port_function(a, 2, 3)
 
+    def test_initial_and_final_states_checked(self):
+        with pytest.raises(AgentViolationError, match="node state -1"):
+            derive_port_function(WhiteboardAgent(lambda s, d: (0, 1), -1), 2, 1)
+        a = WhiteboardAgent(transition=lambda s, d: (s + 1, 1), memory_bits=1)
+        assert derive_port_function(a, 2, 1) == [1]
+        with pytest.raises(AgentViolationError, match="node state 2 needs more"):
+            derive_port_function(a, 2, 2)
+
     def test_matches_rotor_everywhere(self):
         wb = whiteboard_rotor_router()
         for d in range(1, 17):

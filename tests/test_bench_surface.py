@@ -1,6 +1,7 @@
-"""The benchmark's tracer (bench/spans.py) wraps portwalk functions by name
-and reads fields of the traces they return; renaming any of them would
-break the traced benchmark, so it fails here first."""
+"""The benchmark (bench/spans.py, bench/workloads.py) wraps portwalk
+functions by name, calls them with fixed argument shapes and reads fields
+of what they return; a rename or signature change that would break it
+fails here first."""
 
 import dataclasses
 import importlib
@@ -10,9 +11,30 @@ from pathlib import Path
 
 import pytest
 
+from portwalk.adversary import AdversarialInstance
+from portwalk.experiments import BruteForceResult, ExperimentReport
+from portwalk.graphs import PathLabeling
 from portwalk.simulate import SimulationTrace
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+
+# (module, function, positional args, keyword args) for every call shape
+# the workloads make, plus the keywords the tracer's counters look up.
+CALLS = [
+    ("experiments", "battery", (), {}),
+    ("experiments", "cubic_bound_sweep", ("agents", "n_values"), {}),
+    ("experiments", "path_bound_sweep", ("agents", "n_values"), {}),
+    ("experiments", "brute_force_path_worst_case", ("agent", "n"), {}),
+    ("adversary", "build_cubic_instance", ("agent", "n"), {}),
+    ("adversary", "worst_case_path_labeling", ("agent", "n"), {}),
+    ("graphs", "random_connected_graph", ("n", "m", "seed"), {}),
+    ("graphs", "serialize", ("g",), {}),
+    ("graphs", "build_path", ("labeling",), {}),
+    ("graphs", "deserialize", (), {"text": "doc"}),
+    ("agents", "RotorRouter", (), {}),
+    ("cli", "main", ("argv",), {}),
+    ("cli", "main", (), {"argv": "argv"}),
+]
 
 
 def wrapped_names() -> list[tuple[str, str]]:
@@ -28,6 +50,23 @@ def test_wrapped_function_exists(layer, name):
     assert inspect.isfunction(getattr(module, name, None)), f"{layer}.{name}"
 
 
+@pytest.mark.parametrize("layer, name, args, kwargs", CALLS)
+def test_call_shape_binds(layer, name, args, kwargs):
+    fn = getattr(importlib.import_module(f"portwalk.{layer}"), name)
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def fields(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def test_trace_fields_read_by_the_tracer():
-    fields = {f.name for f in dataclasses.fields(SimulationTrace)}
-    assert {"moves", "steps", "stopped"} <= fields
+    assert {"moves", "steps", "stopped"} <= fields(SimulationTrace)
+
+
+def test_result_fields_read_by_the_workloads():
+    assert {"graph", "start", "certified_bound", "construction_log"} <= fields(
+        AdversarialInstance)
+    assert {"n", "max_steps", "unstopped", "labeling"} <= fields(BruteForceResult)
+    assert "toward_far" in fields(PathLabeling)
+    assert callable(ExperimentReport.to_csv)

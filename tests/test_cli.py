@@ -5,12 +5,32 @@ import json
 import pytest
 
 from portwalk.cli import main, parse_stop, resolve_agent, UsageError
-from portwalk.experiments import battery, cubic_bound_sweep, path_bound_sweep
+from portwalk.experiments import (
+    ExperimentReport,
+    battery,
+    brute_force_path_worst_case,
+    brute_force_rows,
+    cubic_bound_sweep,
+    path_bound_sweep,
+)
 from portwalk.graphs import PathLabeling, build_path, serialize
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def assert_one_error_line(err):
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def brute_force_sweep(agents, n_values):
+    """The bruteforce-path report a sweep over agents and sizes would give."""
+    report = ExperimentReport("bruteforce-path", {"n": list(n_values)})
+    for _, agent in sorted(agents.items()):
+        for n in sorted(n_values):
+            report.rows += brute_force_rows(agent.name,
+                                            brute_force_path_worst_case(agent, n))
+    return report
 
 
 @pytest.fixture
@@ -72,6 +92,24 @@ class TestSimulateCommand:
         code = main(["simulate", "--graph", str(f), "--agent", "rotor-router"])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_deeply_nested_graph(self, tmp_path, capsys):
+        f = tmp_path / "deep.json"
+        f.write_text(DEEP)
+        code = main(["simulate", "--graph", str(f), "--agent", "rotor-router"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "nested too deeply" in err
+
+    def test_deeply_nested_agent_script(self, path_graph_file, tmp_path, capsys):
+        f = tmp_path / "deep.json"
+        f.write_text(DEEP)
+        code = main(["simulate", "--graph", path_graph_file, "--agent", str(f)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "nested too deeply" in err
 
     def test_bad_stop_flag(self, path_graph_file):
         code = main(["simulate", "--graph", path_graph_file,
@@ -167,6 +205,7 @@ class TestReportRowsMatchSweeps:
     @pytest.mark.parametrize("command, sweep, n", [
         ("adversary-path", path_bound_sweep, 12),
         ("adversary-cubic", cubic_bound_sweep, 18),
+        ("bruteforce-path", brute_force_sweep, 8),
     ])
     @pytest.mark.parametrize("agent", sorted(battery()))
     def test_same_rows(self, command, sweep, n, agent, capsys):
@@ -208,6 +247,14 @@ class TestRotorUpperCommand:
 
     def test_bad_case_syntax(self):
         assert main(["rotor-upper", "--case", "10;15;3"]) == 2
+
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+    def test_non_finite_factor(self, factor, capsys):
+        code = main(["rotor-upper", "--case", "5,6,1", f"--factor={factor}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "finite" in err
 
     def test_no_cases(self):
         assert main(["rotor-upper"]) == 2

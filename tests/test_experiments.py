@@ -4,12 +4,14 @@ import pytest
 
 from portwalk.adversary import verify_path_bound
 from portwalk.agents import RotorRouter
-from portwalk.errors import InvalidSizeError
+from portwalk.errors import InvalidLimitError, InvalidSizeError
 from portwalk.experiments import (
+    BruteForceResult,
     ExperimentReport,
     ReportRow,
     battery,
     brute_force_path_worst_case,
+    brute_force_rows,
     cubic_bound_sweep,
     path_bound_sweep,
     rotor_upper_bound_sweep,
@@ -57,6 +59,19 @@ class TestBruteForce:
         # only the all-inward labeling lets always-1 through, in n-1 steps
         assert result.max_steps == 3
         assert result.unstopped == 3
+
+    @pytest.mark.parametrize("max_steps, unstopped, measured, verdict", [
+        (9, 0, "9", "pass"),
+        (8, 0, "8", "fail"),
+        (3, 3, "3", "pass"),
+        (None, 4, "", "pass"),
+    ])
+    def test_row_verdict(self, max_steps, unstopped, measured, verdict):
+        r = BruteForceResult(n=4, max_steps=max_steps, labeling=None,
+                             unstopped=unstopped)
+        assert brute_force_rows("x", r) == [ReportRow(
+            "bruteforce-path", "x", 4, f"unstopped={unstopped}", "9",
+            measured, verdict)]
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_oracle_vs_construction(self, n):
@@ -116,6 +131,11 @@ class TestRotorUpperSweep:
     def test_rejects_bad_factor(self):
         with pytest.raises(ValueError):
             rotor_upper_bound_sweep([(2, 1, 0)], factor=0)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_rejects_non_finite_factor(self, factor):
+        with pytest.raises(InvalidLimitError):
+            rotor_upper_bound_sweep([(2, 1, 0)], factor=factor)
 
     def test_rows_sorted_by_case(self):
         report = rotor_upper_bound_sweep([(9, 12, 5), (4, 4, 2), (9, 10, 1)])

@@ -33,7 +33,7 @@ def graph_cases():
     yield build_clique_pendant(2, 2)
     yield build_clique_pendant(6, 1)
     yield replace_pendant_with_path(build_clique_pendant(6, 1), 0,
-                                    PathLabeling(7, (1,) * 5))
+                                    PathLabeling(8, (1,) * 5 + (2,)))
     yield random_connected_graph(9, 14, seed=3)
 
 
@@ -112,16 +112,16 @@ class TestBuildCliquePendant:
 class TestReplacePendantWithPath:
     def test_small_caterpillar(self):
         g1 = build_clique_pendant(2, 1)
-        g = replace_pendant_with_path(g1, 0, PathLabeling(3, (1,)))
+        g = replace_pendant_with_path(g1, 0, PathLabeling(4, (1, 2)))
         assert g.n == 2 * 2 - 1 + 3
         assert validate(g) == []
-        # glued endpoint keeps port 1 into the path, default back port 2
+        # glued endpoint keeps port 1 into the path, back port 2
         assert g.port_map[3] == (4, 0)
 
     def test_node_count_and_degrees(self):
         d = 6
         g1 = build_clique_pendant(d, 1)
-        g = replace_pendant_with_path(g1, 2, PathLabeling(7, (1,) * 5))
+        g = replace_pendant_with_path(g1, 2, PathLabeling(8, (1,) * 5 + (2,)))
         assert g.n == 2 * d - 1 + 7 == 18
         assert all(g.degree(v) == d for v in range(d))
         assert validate(g) == []
@@ -129,7 +129,7 @@ class TestReplacePendantWithPath:
     def test_replaced_port_leads_to_path(self):
         d, p = 4, 3
         g1 = build_clique_pendant(d, p)
-        g = replace_pendant_with_path(g1, 1, PathLabeling(5, (2, 1, 2)))
+        g = replace_pendant_with_path(g1, 1, PathLabeling(6, (2, 1, 2, 2)))
         entry = 2 * d - 1
         assert g.neighbor(1, p) == entry
         assert g.degree(entry) == 2
@@ -140,7 +140,7 @@ class TestReplacePendantWithPath:
         d = 4
         g1 = build_clique_pendant(d, 1)
         v_star = 1
-        g = replace_pendant_with_path(g1, v_star, PathLabeling(5, (1, 1, 1)))
+        g = replace_pendant_with_path(g1, v_star, PathLabeling(6, (1, 1, 1, 2)))
         # pendants of clique nodes 0,2,3 shift to ids 4,5,6
         assert g.port_map[4] == (0,)
         assert g.port_map[5] == (2,)
@@ -148,20 +148,20 @@ class TestReplacePendantWithPath:
 
     def test_back_port_orientation(self):
         g1 = build_clique_pendant(2, 1)
-        g = replace_pendant_with_path(g1, 0, PathLabeling(3, (1,)), back_port=1)
+        g = replace_pendant_with_path(g1, 0, PathLabeling(4, (1, 1)))
         assert g.port_map[3] == (0, 4)
 
     def test_path_too_short(self):
         g1 = build_clique_pendant(3, 1)
         with pytest.raises(InvalidSizeError):
-            replace_pendant_with_path(g1, 0, PathLabeling(3, (1,)))
+            replace_pendant_with_path(g1, 0, PathLabeling(4, (1, 2)))
 
     def test_not_a_clique_node(self):
         g1 = build_clique_pendant(3, 1)
         with pytest.raises(InvalidVertexError):
-            replace_pendant_with_path(g1, 4, PathLabeling(4, (1, 1)))
+            replace_pendant_with_path(g1, 4, PathLabeling(5, (1, 1, 2)))
         with pytest.raises(InvalidVertexError):
-            replace_pendant_with_path(g1, 9, PathLabeling(4, (1, 1)))
+            replace_pendant_with_path(g1, 9, PathLabeling(5, (1, 1, 2)))
 
 
 class TestRandomConnectedGraph:

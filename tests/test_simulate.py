@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portwalk.agents import CyclicAgent, RotorRouter, ScriptedPortFunction
+from portwalk.agents import CyclicAgent, PortFunction, RotorRouter, ScriptedPortFunction
 from portwalk.errors import (
+    AgentViolationError,
     HorizonExceededError,
     InvalidArcError,
     InvalidLimitError,
@@ -125,6 +126,21 @@ class TestRun:
     def test_bad_limits(self, stop, cap):
         with pytest.raises(InvalidLimitError):
             run(path3(), ROTOR, 2, stop, cap=cap)
+
+    @pytest.mark.parametrize("port", [1.0, None, "1"])
+    def test_non_integer_port(self, port):
+        agent = PortFunction()
+        agent.outport = lambda d, i: port
+        with pytest.raises(AgentViolationError, match=f"port {port!r}"):
+            run(path3(), agent, 0, "covered")
+
+    def test_agent_type_error_propagates(self):
+        def outport(d, i):
+            return None + 1
+        agent = PortFunction()
+        agent.outport = outport
+        with pytest.raises(TypeError):
+            run(path3(), agent, 0, "covered")
 
     def test_degree_zero_start_takes_no_step(self):
         g = deserialize('{"n": 1, "ports": [[]]}')
