@@ -22,7 +22,6 @@ from .adversary import (
     CubicBoundReport,
     PathBoundReport,
     build_cubic_instance,
-    build_path_instance,
     export_instance,
     majority_element,
     rare_port,

@@ -52,17 +52,16 @@ from .simulate import SimulationTrace, run, visit_count_upto
 
 @dataclass(frozen=True)
 class AdversarialInstance:
-    """A constructed worst-case arena plus the certificate that comes with it.
+    """The cubic construction's arena plus the certificate that comes with it.
 
-    target is the node whose first visit the bound talks about, or None
-    when the bound is on full coverage. construction_log records every
-    choice made (rare port, replaced clique node, per-node majority
-    values) so the construction can be replayed exactly.
+    The certificate is that a walk from start covers the graph no earlier
+    than step certified_bound. construction_log records every choice made
+    (rare port, replaced clique node, per-node majority values) so the
+    construction can be replayed exactly.
     """
 
     graph: PortLabeledGraph
     start: int
-    target: int | None
     certified_bound: int
     construction_log: dict
 
@@ -113,22 +112,6 @@ def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     return PathLabeling(n, toward_far)
 
 
-def build_path_instance(agent: PortFunction, n: int) -> AdversarialInstance:
-    """Path arena certified to cost the agent at least (n-1)^2 steps.
-
-    The walk starts at v_n (id n-1) and the certificate concerns the
-    first visit to v_1 (id 0).
-    """
-    labeling = worst_case_path_labeling(agent, n)
-    return AdversarialInstance(
-        graph=build_path(labeling),
-        start=n - 1,
-        target=0,
-        certified_bound=(n - 1) ** 2,
-        construction_log={"n": n, "alpha": list(labeling.toward_far)},
-    )
-
-
 @dataclass(frozen=True)
 class PathBoundReport:
     """Outcome of checking the quadratic path bound against one agent."""
@@ -151,17 +134,18 @@ def verify_path_bound(agent: PortFunction, n: int,
                       cap: int | None = None) -> PathBoundReport:
     """Build the worst-case path and measure the agent against its bound.
 
-    A run that reaches the target is measured against (n-1)^2 steps and
+    The walk starts at v_n (id n-1) and runs to its first visit of v_1
+    (id 0). A run that reaches v_1 is measured against (n-1)^2 steps and
     n-1 crossings of the start arc; a run still going at the cap is a
     vacuous pass (the certificate only binds walks that finish). The
     default cap of 8(n-1)^2 + 8 is far above any finishing run a passing
     agent produces, while keeping non-finishing agents cheap to detect.
     """
-    inst = build_path_instance(agent, n)
+    g = build_path(worst_case_path_labeling(agent, n))
+    bound = (n - 1) ** 2
     if cap is None:
-        cap = 8 * (n - 1) ** 2 + 8
-    trace = run(inst.graph, agent, inst.start, ("target", inst.target),
-                cap=cap, record_moves=False)
+        cap = 8 * bound + 8
+    trace = run(g, agent, n - 1, ("target", 0), cap=cap, record_moves=False)
     # v_n has one port, so its departures are the start arc's crossings.
     arc = visit_count_upto(trace, n - 1, trace.steps)
     if not trace.stopped:
@@ -169,12 +153,12 @@ def verify_path_bound(agent: PortFunction, n: int,
         steps = None
     else:
         steps = trace.steps
-        ok = steps >= inst.certified_bound and arc >= n - 1
+        ok = steps >= bound and arc >= n - 1
         verdict = "pass" if ok else "fail"
     return PathBoundReport(
         agent=agent.name,
         n=n,
-        bound=inst.certified_bound,
+        bound=bound,
         arc_bound=n - 1,
         steps=steps,
         arc_count=arc,
@@ -255,7 +239,6 @@ def build_cubic_instance(agent: PortFunction, n: int,
     return AdversarialInstance(
         graph=graph,
         start=start,
-        target=None,
         certified_bound=steps_budget,
         construction_log={
             "d": d,
@@ -338,7 +321,6 @@ def export_instance(inst: AdversarialInstance) -> tuple[str, str]:
     The sidecar carries the start node, the certified bound, and the
     construction log entries needed for replay.
     """
-    log = {k: inst.construction_log[k] for k in ("p", "v_star", "alpha")
-           if k in inst.construction_log}
+    log = {k: inst.construction_log[k] for k in ("p", "v_star", "alpha")}
     sidecar = {"start": inst.start, "bound": inst.certified_bound, "log": log}
     return serialize(inst.graph), json.dumps(sidecar, separators=(",", ":")) + "\n"

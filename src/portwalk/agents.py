@@ -4,11 +4,11 @@ Because an oblivious walker carries no state and never learns its inport,
 everything it can do at a node is a function of that node's degree and of
 how many times the node has been visited. An agent is therefore captured
 completely by the family of sequences port_d(i): the port taken on the
-i-th visit to any degree-d node. Three concrete forms are provided: the
+i-th visit to any degree-d node. Four port functions are provided: the
 rotor-router (cycle through ports in order), cyclic patterns folded into
-the local degree, and finite scripted tables. Raw whiteboard transition
-functions can be reduced to the same form by replaying them against a
-virtual node.
+the local degree, finite scripted tables, and whiteboard agents given as
+a raw transition on (node state, degree), which read port_d(i) by
+replaying that transition against a virtual degree-d node.
 
 At degree 1 there is only one legal port, so every agent answers 1 there
 regardless of its script.
@@ -17,7 +17,7 @@ regardless of its script.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 from .errors import AgentViolationError, HorizonExceededError, InvalidPortError
@@ -52,8 +52,8 @@ class CyclicAgent(PortFunction):
 
     def __init__(self, pattern: Sequence[int], name: str | None = None):
         pattern = tuple(pattern)
-        if not pattern or any(e < 1 for e in pattern):
-            raise InvalidPortError(f"pattern entries must be positive, got {pattern}")
+        if not pattern or any(type(e) is not int or e < 1 for e in pattern):
+            raise InvalidPortError(f"pattern entries must be positive ints, got {pattern}")
         self.pattern = pattern
         self.name = name or "cycle-" + "".join(str(e) for e in pattern)
 
@@ -75,11 +75,12 @@ class ScriptedPortFunction(PortFunction):
             raise ValueError(f"extension must be 'cycle' or 'fail', got {extension!r}")
         clean: dict[int, tuple[int, ...]] = {}
         for d, entries in tables.items():
-            d = int(d)
-            entries = tuple(int(e) for e in entries)
+            if type(d) is not int:
+                raise InvalidPortError(f"degree {d!r} is not an int")
+            entries = tuple(entries)
             for e in entries:
-                if not 1 <= e <= d:
-                    raise InvalidPortError(f"table for degree {d} contains port {e}")
+                if type(e) is not int or not 1 <= e <= d:
+                    raise InvalidPortError(f"table for degree {d} contains port {e!r}")
             clean[d] = entries
         self.tables = clean
         self.extension = extension
@@ -103,11 +104,22 @@ class ScriptedPortFunction(PortFunction):
 def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction:
     """Parse the agent script document: {"tables": {"<d>": [...]}, "extension": ...}.
 
-    Each degree key is a positive integer and each table a non-empty list
-    of integer ports. "extension" accepts "cycle" or "fail".
+    Each degree key is a positive integer given once ("2" and "02" are the
+    same degree) and each table a non-empty list of integer ports.
+    "extension" accepts "cycle" or "fail".
     """
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            k = int(key) if key.isascii() and key.isdigit() else key
+            if k in seen:
+                what = f"degree {k}" if isinstance(k, int) else f"field {k!r}"
+                raise ValueError(f"{what} is given twice")
+            seen.add(k)
+        return dict(pairs)
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except RecursionError:
         raise ValueError("agent script is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tables"), dict):
@@ -116,26 +128,28 @@ def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction
     for key, entries in doc["tables"].items():
         if not (key.isascii() and key.isdigit()) or int(key) < 1:
             raise ValueError(f"degree {key!r} is not a positive integer")
-        if not isinstance(entries, list) or not entries or any(
-                isinstance(e, bool) or not isinstance(e, int) for e in entries):
-            raise ValueError(f"table for degree {key} is not a non-empty integer list")
+        if not isinstance(entries, list) or not entries:
+            raise ValueError(f"table for degree {key} is not a non-empty list")
         tables[int(key)] = entries
     return ScriptedPortFunction(tables, doc.get("extension", "cycle"), name=name)
 
 
 @dataclass(frozen=True)
-class WhiteboardAgent:
+class WhiteboardAgent(PortFunction):
     """Raw agent model: a transition on (node state, degree).
 
     transition(s, d) returns (new node state, outport). States are
     non-negative integers; memory_bits bounds how many bits a degree-d
     node may use (an int for a uniform budget, a callable for per-degree
     budgets, None for unlimited). Every node starts in initial_state.
+    outport(d, i) reads port_d(i) from derive_port_function, cached per degree.
     """
 
     transition: Callable[[int, int], tuple[int, int]]
     initial_state: int = 0
     memory_bits: int | Callable[[int], int] | None = None
+    name: str = "whiteboard"
+    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def budget(self, d: int) -> int | None:
         if self.memory_bits is None:
@@ -144,8 +158,11 @@ class WhiteboardAgent:
             return self.memory_bits(d)
         return self.memory_bits
 
-    def as_port_function(self, name: str = "whiteboard") -> PortFunction:
-        return _ReducedWhiteboard(self, name)
+    def outport(self, d: int, i: int) -> int:
+        got = self._cache.get(d, [])
+        if i > len(got):
+            got = self._cache[d] = derive_port_function(self, d, max(i, 2 * len(got)))
+        return got[i - 1]
 
 
 def derive_port_function(agent: WhiteboardAgent, d: int, k: int) -> list[int]:
@@ -175,21 +192,6 @@ def derive_port_function(agent: WhiteboardAgent, d: int, k: int) -> list[int]:
         if not isinstance(port, int) or not 1 <= port <= d:
             raise AgentViolationError(f"emitted port {port!r} at degree {d}")
         out.append(port)
-
-
-class _ReducedWhiteboard(PortFunction):
-    """PortFunction view of a WhiteboardAgent, cached per degree."""
-
-    def __init__(self, agent: WhiteboardAgent, name: str):
-        self.agent = agent
-        self.name = name
-        self._cache: dict[int, list[int]] = {}
-
-    def outport(self, d: int, i: int) -> int:
-        got = self._cache.get(d, [])
-        if i > len(got):
-            self._cache[d] = derive_port_function(self.agent, d, max(i, 2 * len(got)))
-        return self._cache[d][i - 1]
 
 
 def whiteboard_rotor_router() -> WhiteboardAgent:

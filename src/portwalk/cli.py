@@ -124,12 +124,8 @@ def cmd_rotor_upper(args) -> int:
         if len(parts) != 3 or not all(is_integer(p) for p in parts):
             raise UsageError(f"bad case {text!r}, expected n,m,seed")
         cases.append(tuple(int(p) for p in parts))
-    if args.n is not None or args.m is not None:
-        if args.n is None or args.m is None:
-            raise UsageError("--n and --m must be given together")
-        cases.append((args.n, args.m, args.seed))
     if not cases:
-        raise UsageError("need --n/--m/--seed or at least one --case n,m,seed")
+        raise UsageError("need at least one --case n,m,seed")
     report = rotor_upper_bound_sweep(cases, factor=args.factor, cap=args.cap)
     return write_report(report, args)
 
@@ -191,9 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "random graphs")
     p.add_argument("--case", action="append", default=[],
                    metavar="N,M,SEED", help="repeatable")
-    p.add_argument("--n", type=int, default=None, help="single-case node count")
-    p.add_argument("--m", type=int, default=None, help="single-case edge count")
-    p.add_argument("--seed", type=int, default=0, help="single-case seed")
     p.add_argument("--factor", type=float, default=2.0)
     p.add_argument("--cap", type=int, default=None)
     add_report_flags(p)

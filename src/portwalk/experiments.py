@@ -166,23 +166,23 @@ def cubic_bound_rows(r: CubicBoundReport) -> list[ReportRow]:
     ]
 
 
-def path_bound_sweep(agents: dict[str, PortFunction], n_values: Iterable[int],
-                     cap: int | None = None) -> ExperimentReport:
+def path_bound_sweep(agents: dict[str, PortFunction],
+                     n_values: Iterable[int]) -> ExperimentReport:
     """verify_path_bound over a battery and a range of path sizes."""
     report = ExperimentReport("adversary-path", {"n": list(n_values)})
     for _, agent in sorted(agents.items()):
         for n in sorted(report.params["n"]):
-            report.rows += path_bound_rows(verify_path_bound(agent, n, cap=cap))
+            report.rows += path_bound_rows(verify_path_bound(agent, n))
     return report
 
 
-def cubic_bound_sweep(agents: dict[str, PortFunction], n_values: Iterable[int],
-                      cap: int | None = None) -> ExperimentReport:
+def cubic_bound_sweep(agents: dict[str, PortFunction],
+                      n_values: Iterable[int]) -> ExperimentReport:
     """verify_cubic_bound over a battery and a range of graph sizes."""
     report = ExperimentReport("adversary-cubic", {"n": list(n_values)})
     for _, agent in sorted(agents.items()):
         for n in sorted(report.params["n"]):
-            report.rows += cubic_bound_rows(verify_cubic_bound(agent, n, cap=cap))
+            report.rows += cubic_bound_rows(verify_cubic_bound(agent, n))
     return report
 
 

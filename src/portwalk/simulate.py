@@ -52,10 +52,6 @@ class SimulationTrace:
     covered_at: int | None
     stopped: bool
 
-    def positions(self) -> list[int]:
-        """Occupied node at the beginning of each step 0..steps."""
-        return [v for v, _ in _moves(self)] + [self.final]
-
 
 def _moves(trace: SimulationTrace) -> list[tuple[int, int]]:
     if trace.moves is None:
@@ -77,9 +73,9 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     cap defaults to 4*n^3, a comfortable ceiling for any walk that is
     going to finish at all on the graphs this package builds. Set
     record_moves=False for long runs where only the aggregate counters
-    matter; per-step analyses (positions, outport sequences, arc
-    crossings) then become unavailable. A start node of degree 0 (the
-    one-node graph) takes no step.
+    matter; per-step analyses (outport sequences, arc crossings, visit
+    counts over a partial window) then become unavailable. A start node
+    of degree 0 (the one-node graph) takes no step.
     """
     n = g.n
     if not 0 <= start < n:
@@ -188,12 +184,11 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
         raise InvalidLimitError(
             f"step limit {step_limit} outside 0..{trace.steps}"
         )
-    if trace.moves is None:
-        if step_limit == trace.steps:
-            return trace.visit_counts[v] - (1 if trace.final == v else 0)
-        raise ValueError("counters-only trace cannot answer partial limits")
+    if step_limit == trace.steps:
+        # Every occupancy but the last ended in a move.
+        return trace.visit_counts[v] - (trace.final == v)
     count = 0
-    for node, _ in trace.moves[:step_limit]:
+    for node, _ in _moves(trace)[:step_limit]:
         if node == v:
             count += 1
     return count

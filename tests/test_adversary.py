@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from portwalk.adversary import (
     build_cubic_instance,
-    build_path_instance,
     export_instance,
     majority_element,
     rare_port,
@@ -18,7 +17,14 @@ from portwalk.adversary import (
     verify_path_bound,
     worst_case_path_labeling,
 )
-from portwalk.agents import CyclicAgent, PortFunction, RotorRouter, ScriptedPortFunction
+from portwalk.agents import (
+    CyclicAgent,
+    PortFunction,
+    RotorRouter,
+    ScriptedPortFunction,
+    whiteboard_rotor_router,
+)
+from portwalk.cli import main
 from portwalk.errors import (
     AgentViolationError,
     HorizonExceededError,
@@ -26,8 +32,14 @@ from portwalk.errors import (
     InvalidVertexError,
 )
 from portwalk.experiments import battery
-from portwalk.graphs import build_clique_pendant, deserialize, validate
-from portwalk.simulate import arc_traversals, run, visit_count_upto
+from portwalk.graphs import (
+    build_clique_pendant,
+    build_path,
+    deserialize,
+    random_connected_graph,
+    validate,
+)
+from portwalk.simulate import arc_traversals, export_trace, run, visit_count_upto
 
 ROTOR = RotorRouter()
 ALWAYS_1 = CyclicAgent((1,), name="always-1")
@@ -100,8 +112,8 @@ class TestVerifyPathBound:
     def test_arc_count_is_recorded_crossings(self, agent):
         for n in range(2, 31):
             r = verify_path_bound(agent, n)
-            inst = build_path_instance(agent, n)
-            t = run(inst.graph, agent, inst.start, ("target", inst.target), cap=r.cap)
+            g = build_path(worst_case_path_labeling(agent, n))
+            t = run(g, agent, n - 1, ("target", 0), cap=r.cap)
             assert r.arc_count == arc_traversals(t, n - 1, n - 2)
 
     @pytest.mark.parametrize("n", [2, 5])
@@ -353,8 +365,34 @@ class TestExportInstance:
         assert h.hexdigest() == (
             "4388c660ee3548d1939502374b5a39e5f906658bd0db1db6272ea8c68a55b3c0")
 
-    def test_path_instance_round_trip(self):
-        inst = build_path_instance(ROTOR, 6)
-        graph_text, sidecar_text = export_instance(inst)
-        assert deserialize(graph_text) == inst.graph
-        assert json.loads(sidecar_text)["bound"] == 25
+    def test_traces_and_reports_golden(self, capsys):
+        # SHA-256 of export_trace for seven agents on three seeded random
+        # graphs under each stop condition (the failing script answers
+        # every stop used), then of the rotor-upper, bruteforce-path and
+        # adversary-path reports. A rewrite of the engine or of the report
+        # path must keep these bytes.
+        agents = [a for _, a in sorted(battery().items())] + [
+            ScriptedPortFunction({d: [(3 * i) % d + 1 for i in range(5)]
+                                  for d in range(2, 10)}, "cycle"),
+            ScriptedPortFunction({d: [d - i % d for i in range(12)]
+                                  for d in range(2, 10)}, "fail"),
+            whiteboard_rotor_router(),
+        ]
+        h = hashlib.sha256()
+        for n, m, seed in [(12, 20, 1), (20, 35, 2), (30, 60, 3)]:
+            g = random_connected_graph(n, m, seed)
+            for agent in agents:
+                for stop in ("covered", ("steps", 3 * n), ("target", n // 2)):
+                    h.update(export_trace(run(g, agent, 0, stop, cap=50 * n)).encode())
+        commands = [["rotor-upper", "--case", "50,100,1", "--case", "30,40,2"]]
+        for agent in sorted(battery()):
+            commands.append(["bruteforce-path", "--agent", agent, "--n", "8"])
+            for n in ("2", "10", "60"):
+                for fmt in ("csv", "json"):
+                    commands.append(["adversary-path", "--agent", agent, "--n", n,
+                                     "--format", fmt])
+        for argv in commands:
+            main(argv)
+            h.update(capsys.readouterr().out.encode())
+        assert h.hexdigest() == (
+            "9632742cf8f3d512d83e6a2bfa28faca0bba1a03bfc595264146032a763aaca8")

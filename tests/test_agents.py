@@ -19,6 +19,8 @@ from portwalk.errors import (
     HorizonExceededError,
     InvalidPortError,
 )
+from portwalk.graphs import random_connected_graph
+from portwalk.simulate import run
 
 
 ROTOR = RotorRouter()
@@ -64,6 +66,11 @@ class TestCyclicAgent:
         with pytest.raises(InvalidPortError):
             CyclicAgent((1, 0))
 
+    @pytest.mark.parametrize("pattern", [(1.5,), (True,), ("2",)])
+    def test_rejects_non_int_entries(self, pattern):
+        with pytest.raises(InvalidPortError):
+            CyclicAgent(pattern)
+
 
 class TestScripted:
     def test_cycle_matches_rotor(self):
@@ -80,6 +87,13 @@ class TestScripted:
     def test_entry_out_of_range(self):
         with pytest.raises(InvalidPortError):
             ScriptedPortFunction({2: [3]})
+
+    @pytest.mark.parametrize("tables", [
+        {2: [1.9, 2.7]}, {2.9: [1, 2]}, {2: [True, 2]}, {2: ["2"]}, {True: [1]},
+    ])
+    def test_rejects_non_int_entries_and_degrees(self, tables):
+        with pytest.raises(InvalidPortError):
+            ScriptedPortFunction(tables)
 
     def test_missing_degree(self):
         a = ScriptedPortFunction({2: [1, 2]})
@@ -149,13 +163,16 @@ class TestDerivePortFunction:
         wb = whiteboard_rotor_router()
         assert derive_port_function(wb, 5, 30) == derive_port_function(wb, 5, 30)
 
-    def test_as_port_function_agrees(self):
+    def test_walk_matches_rotor(self):
         wb = whiteboard_rotor_router()
-        pf = wb.as_port_function()
+        assert wb.name == "whiteboard"
         # out-of-order queries hit and extend the per-degree cache
-        assert pf.outport(3, 7) == ROTOR.outport(3, 7)
-        assert pf.outport(3, 2) == ROTOR.outport(3, 2)
-        assert pf.outport(6, 1) == 1
+        assert wb.outport(3, 7) == ROTOR.outport(3, 7)
+        assert wb.outport(3, 2) == ROTOR.outport(3, 2)
+        assert wb.outport(6, 1) == 1
+        g = random_connected_graph(30, 60, 4)
+        walk = run(g, whiteboard_rotor_router(), 0, "covered")
+        assert walk.moves == run(g, ROTOR, 0, "covered").moves
 
     @given(st.integers(2, 64), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)

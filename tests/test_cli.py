@@ -1,10 +1,13 @@
 """Command-line interface: flags, outputs, exit codes."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from portwalk.cli import main, parse_stop, resolve_agent, UsageError
+from portwalk.cli import build_parser, main, parse_stop, resolve_agent, UsageError
 from portwalk.experiments import (
     ExperimentReport,
     battery,
@@ -156,6 +159,17 @@ class TestSimulateCommand:
         assert_one_error_line(err)
         assert "bad agent script" in err
 
+    @pytest.mark.parametrize("tables", ['{"2": [1], "2": [2]}', '{"2": [1], "02": [2]}'])
+    def test_duplicate_degree_in_agent_script(self, path_graph_file, tmp_path,
+                                              tables, capsys):
+        f = tmp_path / "agent.json"
+        f.write_text('{"tables": %s}' % tables)
+        code = main(["simulate", "--graph", path_graph_file, "--agent", str(f)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert "degree 2 is given twice" in err
+
 
 class TestAdversaryPathCommand:
     def test_pass_exit_zero(self, capsys):
@@ -241,7 +255,7 @@ class TestRotorUpperCommand:
         assert code == 1
 
     def test_single_case_flags(self, capsys):
-        code = main(["rotor-upper", "--n", "12", "--m", "20", "--seed", "5"])
+        code = main(["rotor-upper", "--case", "12,20,5"])
         assert code == 0
         assert "m=20;seed=5" in capsys.readouterr().out
 
@@ -258,9 +272,6 @@ class TestRotorUpperCommand:
 
     def test_no_cases(self):
         assert main(["rotor-upper"]) == 2
-
-    def test_n_without_m(self):
-        assert main(["rotor-upper", "--n", "12"]) == 2
 
     def test_out_file(self, tmp_path):
         out = tmp_path / "report.csv"
@@ -279,3 +290,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["adversary-path", "--n", "5"])
         assert exc.value.code == 2
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines()]
+    assert commands and all(argv[0] == "portwalk" for argv in commands)
+    for argv in commands:
+        build_parser().parse_args(argv[1:])

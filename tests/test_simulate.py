@@ -17,6 +17,7 @@ from portwalk.errors import (
     InvalidLimitError,
     InvalidVertexError,
 )
+from portwalk.experiments import battery
 from portwalk.graphs import (
     PathLabeling,
     build_clique_pendant,
@@ -222,20 +223,25 @@ class TestVisitCountUpto:
             visit_count_upto(t, 0, 10 ** 9)
 
     def test_counters_only_full_window(self):
-        g = random_connected_graph(9, 13, seed=11)
-        full = run(g, ROTOR, 0, ("steps", 60))
-        lean = run(g, ROTOR, 0, ("steps", 60), record_moves=False)
-        assert lean.moves is None
-        for v in range(g.n):
-            assert visit_count_upto(lean, v, 60) == visit_count_upto(full, v, 60)
+        # both trace kinds answer a full window with the departures that
+        # the recorded moves show
+        for seed in range(11, 16):
+            g = random_connected_graph(9, 13, seed=seed)
+            for agent in battery().values():
+                for stop in (("steps", 60), "covered"):
+                    full = run(g, agent, 0, stop, cap=500)
+                    lean = run(g, agent, 0, stop, cap=500, record_moves=False)
+                    assert lean.moves is None
+                    for v in range(g.n):
+                        departures = sum(1 for node, _ in full.moves if node == v)
+                        assert visit_count_upto(lean, v, lean.steps) == departures
+                        assert visit_count_upto(full, v, full.steps) == departures
 
     def test_counters_only_partial_window_rejected(self):
         g = path3()
         lean = run(g, ROTOR, 2, ("steps", 10), record_moves=False)
         with pytest.raises(ValueError):
             visit_count_upto(lean, 0, 5)
-        with pytest.raises(ValueError):
-            lean.positions()
 
 
 graph_params = st.tuples(
