@@ -91,7 +91,7 @@ def _exits(agent: PortFunction, d: int, k: int) -> list[int]:
     out = []
     for i in range(1, k + 1):
         p = agent.outport(d, i)
-        if not isinstance(p, int) or not 1 <= p <= d:
+        if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
             raise AgentViolationError(f"degree-{d} exit {i} is {p!r}")
         out.append(p)
     return out

@@ -12,6 +12,14 @@ replaying that transition against a virtual degree-d node.
 
 At degree 1 there is only one legal port, so every agent answers 1 there
 regardless of its script.
+
+An agent that is periodic at degree d says so through cycle(d): a tuple
+(port_d(1), ..., port_d(P)) with port_d(i + P) = port_d(i) for every
+i >= 1, or None when it gives no such promise. The engine compiles a
+periodic agent into per-node successor rows and only calls outport for
+agents whose cycle is None. The rotor-router, cyclic patterns and
+"cycle" scripts are periodic at every degree they answer; "fail"
+scripts, whiteboard agents and the base class return None.
 """
 
 from __future__ import annotations
@@ -31,6 +39,10 @@ class PortFunction:
     def outport(self, d: int, i: int) -> int:
         raise NotImplementedError
 
+    def cycle(self, d: int) -> tuple[int, ...] | None:
+        """port_d(1..P) for a period P of port_d, or None if not periodic."""
+        return None
+
 
 class RotorRouter(PortFunction):
     """Closed-form rotor-router: cycle through ports 1..d forever."""
@@ -39,6 +51,9 @@ class RotorRouter(PortFunction):
 
     def outport(self, d: int, i: int) -> int:
         return (i - 1) % d + 1
+
+    def cycle(self, d: int) -> tuple[int, ...]:
+        return tuple(range(1, d + 1))
 
 
 class CyclicAgent(PortFunction):
@@ -59,6 +74,9 @@ class CyclicAgent(PortFunction):
 
     def outport(self, d: int, i: int) -> int:
         return (self.pattern[(i - 1) % len(self.pattern)] - 1) % d + 1
+
+    def cycle(self, d: int) -> tuple[int, ...]:
+        return tuple((e - 1) % d + 1 for e in self.pattern)
 
 
 class ScriptedPortFunction(PortFunction):
@@ -99,6 +117,19 @@ class ScriptedPortFunction(PortFunction):
         raise HorizonExceededError(
             f"degree-{d} table has {len(table)} entries, visit {i} requested"
         )
+
+    def cycle(self, d: int) -> tuple[int, ...] | None:
+        """The table itself under "cycle" (degree 1 without one: (1,)).
+
+        None under "fail", and at a degree >= 2 with no table, where
+        outport raises.
+        """
+        if self.extension != "cycle":
+            return None
+        table = self.tables.get(d)
+        if table:
+            return table
+        return (1,) if d == 1 else None
 
 
 def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction:
@@ -189,7 +220,7 @@ def derive_port_function(agent: WhiteboardAgent, d: int, k: int) -> list[int]:
         if len(out) == k:
             return out
         state, port = agent.transition(state, d)
-        if not isinstance(port, int) or not 1 <= port <= d:
+        if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= d:
             raise AgentViolationError(f"emitted port {port!r} at degree {d}")
         out.append(port)
 

@@ -14,6 +14,15 @@ Stop conditions for run():
 All runs are additionally bounded by a step cap; a run that hits the cap
 without firing its stop condition is flagged not-stopped rather than
 failed, since several bound checks are conditional on the walk finishing.
+
+run() compiles an agent that is periodic at every degree of the graph
+(PortFunction.cycle(d) is a tuple) into one successor row per node:
+row v lists the node reached from v on each visit index of one period,
+so a step costs two list lookups and no call into the agent. When the
+agent returns None for some degree in use (fail scripts, whiteboard
+agents, a cycle script without a table there, subclasses that give no
+cycle), run() asks outport(d, i) at every step instead. Both loops give
+the same traces and raise the same errors.
 """
 
 from __future__ import annotations
@@ -66,6 +75,26 @@ def _whole(value, what: str) -> int:
     return value
 
 
+def _compile(agent: PortFunction, degs: list[int]) -> list[tuple[int, ...]] | None:
+    """Each node's cycle(d), or None if the agent gives none at a degree in use.
+
+    Every entry is checked once here: an int that is not a bool, in 1..d.
+    Degree 0 (the one-node graph) never takes a step and gets ().
+    """
+    by_degree: dict[int, tuple[int, ...]] = {0: ()}
+    for d in set(degs) - {0}:
+        cyc = agent.cycle(d)
+        if cyc is None:
+            return None
+        if not isinstance(cyc, tuple) or not cyc:
+            raise AgentViolationError(f"agent cycle at degree {d} is {cyc!r}")
+        for p in cyc:
+            if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
+                raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
+        by_degree[d] = cyc
+    return [by_degree[d] for d in degs]
+
+
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         stop, cap: int | None = None, record_moves: bool = True) -> SimulationTrace:
     """Execute the agent from start until the stop condition or the cap.
@@ -76,6 +105,12 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     matter; per-step analyses (outport sequences, arc crossings, visit
     counts over a partial window) then become unavailable. A start node
     of degree 0 (the one-node graph) takes no step.
+
+    A walk that takes a step first fetches agent.cycle(d) once per degree
+    of the graph and checks every entry (an int, not a bool, in 1..d),
+    raising AgentViolationError otherwise. If every degree has a cycle,
+    the walk runs on the compiled successor rows; if any is None, it
+    calls agent.outport at every step and checks each port it returns.
     """
     n = g.n
     if not 0 <= start < n:
@@ -108,7 +143,6 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     visit_counts = [0] * n
     first_visit: list[int | None] = [None] * n
     moves: list[tuple[int, int]] | None = [] if record_moves else None
-    outport = agent.outport
 
     cur = start
     visit_counts[cur] = 1
@@ -118,37 +152,61 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     stopped = cur == target or unvisited == stop_unvisited
     if stopped or degs[cur] == 0:
         limit = 0
+    cycles = _compile(agent, degs) if limit else None
 
     # Every earlier occupancy of cur ended in an exit, so its visit index
-    # is its occupancy count. A non-int port fails the range test or the
-    # row lookup with a TypeError raised in this frame, not in the agent.
-    steps, p = 0, 1
-    try:
-        while steps < limit:
-            d = degs[cur]
-            p = outport(d, visit_counts[cur])
-            if p < 1 or p > d:
-                raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
-            nxt = port_map[cur][p - 1]
+    # is its occupancy count c. The compiled loop reads port_d(c) =
+    # cycle[(c - 1) mod P] at index c % P - 1 (-1 being the last entry).
+    steps = 0
+    if cycles is not None:
+        lens = [len(cyc) for cyc in cycles]
+        nexts = [[row[q - 1] for q in cyc] for row, cyc in zip(port_map, cycles)]
+        for steps in range(1, limit + 1):
+            i = visit_counts[cur] % lens[cur] - 1
             if moves is not None:
-                moves.append((cur, p))
-            steps += 1
-            c = visit_counts[nxt] + 1
-            visit_counts[nxt] = c
-            cur = nxt
+                moves.append((cur, cycles[cur][i]))
+            cur = nexts[cur][i]
+            c = visit_counts[cur] + 1
+            visit_counts[cur] = c
             if c == 1:
-                first_visit[nxt] = steps
+                first_visit[cur] = steps
                 unvisited -= 1
                 if unvisited == 0:
                     covered_at = steps
-                if nxt == target or unvisited == stop_unvisited:
+                if cur == target or unvisited == stop_unvisited:
                     stopped = True
                     break
-    except TypeError as e:
-        if e.__traceback__.tb_next is None and not isinstance(p, int):
-            raise AgentViolationError(
-                f"agent returned port {p!r} at degree {d}") from None
-        raise
+    else:
+        # A non-int port fails the range test or the row lookup with a
+        # TypeError raised in this frame, not in the agent.
+        outport = agent.outport
+        p = 1
+        try:
+            while steps < limit:
+                d = degs[cur]
+                p = outport(d, visit_counts[cur])
+                if p < 1 or p > d or p is True:
+                    raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
+                nxt = port_map[cur][p - 1]
+                if moves is not None:
+                    moves.append((cur, p))
+                steps += 1
+                c = visit_counts[nxt] + 1
+                visit_counts[nxt] = c
+                cur = nxt
+                if c == 1:
+                    first_visit[nxt] = steps
+                    unvisited -= 1
+                    if unvisited == 0:
+                        covered_at = steps
+                    if nxt == target or unvisited == stop_unvisited:
+                        stopped = True
+                        break
+        except TypeError as e:
+            if e.__traceback__.tb_next is None and not isinstance(p, int):
+                raise AgentViolationError(
+                    f"agent returned port {p!r} at degree {d}") from None
+            raise
 
     if budget is not None:
         stopped = steps == budget

@@ -117,7 +117,7 @@ class TestVerifyPathBound:
             assert r.arc_count == arc_traversals(t, n - 1, n - 2)
 
     @pytest.mark.parametrize("n", [2, 5])
-    @pytest.mark.parametrize("port", [1.0, None, "1"])
+    @pytest.mark.parametrize("port", [1.0, None, "1", True])
     def test_non_integer_port(self, port, n):
         # n=2 has no internal node, so the walk itself meets the port.
         agent = PortFunction()

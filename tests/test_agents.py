@@ -134,6 +134,11 @@ class TestDerivePortFunction:
         with pytest.raises(AgentViolationError):
             derive_port_function(a, 3, 1)
 
+    def test_bool_port_rejected(self):
+        a = WhiteboardAgent(transition=lambda s, d: (s, True))
+        with pytest.raises(AgentViolationError, match="port True"):
+            derive_port_function(a, 3, 3)
+
     def test_state_budget_violation(self):
         a = WhiteboardAgent(transition=lambda s, d: (s + 1, 1), memory_bits=1)
         with pytest.raises(AgentViolationError):
@@ -188,6 +193,40 @@ class TestDerivePortFunction:
             return
         seq = derive_port_function(a, d, 10 * d)
         assert len(set(seq)) <= states < d
+
+
+PERIODIC = [
+    ROTOR,
+    CyclicAgent((1,)),
+    CyclicAgent((2, 1)),
+    CyclicAgent((1, 1, 2)),
+    CyclicAgent((7, 3, 12, 1, 5)),
+    ScriptedPortFunction({1: [1], 2: [2, 1, 1], 5: [5, 1, 4, 2, 3], 12: [12, 1] * 3},
+                         "cycle"),
+]
+
+
+class TestCycle:
+    @pytest.mark.parametrize("agent", PERIODIC, ids=lambda a: a.name)
+    def test_cycle_repeats_outport(self, agent):
+        for d in range(1, 13):
+            cyc = agent.cycle(d)
+            if cyc is None:  # a script with no table at d >= 2
+                assert d > 1 and d not in agent.tables
+                continue
+            assert type(cyc) is tuple and cyc
+            period = len(cyc)
+            for i in range(1, 3 * period + 1):
+                assert cyc[(i - 1) % period] == agent.outport(d, i)
+
+    def test_script_without_degree_one_table(self):
+        assert ScriptedPortFunction({2: [2]}).cycle(1) == (1,)
+
+    def test_not_periodic(self):
+        fail = ScriptedPortFunction({1: [1], 2: [2, 1]}, "fail")
+        for d in range(1, 13):
+            assert fail.cycle(d) is None
+            assert whiteboard_rotor_router().cycle(d) is None
 
 
 class TestMemoryLowerBound:

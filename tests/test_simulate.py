@@ -128,7 +128,7 @@ class TestRun:
         with pytest.raises(InvalidLimitError):
             run(path3(), ROTOR, 2, stop, cap=cap)
 
-    @pytest.mark.parametrize("port", [1.0, None, "1"])
+    @pytest.mark.parametrize("port", [1.0, None, "1", True])
     def test_non_integer_port(self, port):
         agent = PortFunction()
         agent.outport = lambda d, i: port
@@ -306,6 +306,71 @@ class TestTraceInvariants:
             for blk in range(len(taken) // deg):
                 window = taken[blk * deg:(blk + 1) * deg]
                 assert sorted(window) == list(range(1, deg + 1))
+
+
+class CallBased(PortFunction):
+    """Forwards outport and gives no cycle, so run() takes the call-based loop."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.name = agent.name
+
+    def outport(self, d, i):
+        return self.agent.outport(d, i)
+
+
+def outcome(g, agent, start, stop, cap, record_moves):
+    try:
+        t = run(g, agent, start, stop, cap=cap, record_moves=record_moves)
+    except Exception as e:
+        return type(e), str(e)
+    return (t.steps, t.final, t.moves, t.first_visit, t.visit_counts,
+            t.covered_at, t.stopped)
+
+
+def scripts():
+    """Cycle scripts with a table at some of the degrees 1..8."""
+    tables = {d: st.lists(st.integers(1, d), min_size=1, max_size=6) for d in range(1, 9)}
+    return st.fixed_dictionaries({}, optional=tables).map(
+        lambda t: ScriptedPortFunction(t, "cycle"))
+
+
+class TestCompiledLoop:
+    @given(
+        graph_params,
+        st.one_of(
+            st.sampled_from(BATTERY),
+            st.lists(st.integers(1, 20), min_size=1, max_size=6).map(CyclicAgent),
+            scripts(),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_call_based_loop(self, params, agent, data):
+        n, m, seed = params
+        g = random_connected_graph(n, m, seed)
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.one_of(
+            st.just("covered"),
+            st.tuples(st.just("target"), st.integers(0, n - 1)),
+            st.tuples(st.just("steps"), st.integers(0, 3000)),
+        ))
+        cap = data.draw(st.one_of(st.none(), st.integers(1, 3000)))
+        record = data.draw(st.booleans())
+        assert (outcome(g, agent, start, stop, cap, record)
+                == outcome(g, CallBased(agent), start, stop, cap, record))
+
+    @pytest.mark.parametrize("bad", [
+        lambda d: (0,), lambda d: (d + 1,), lambda d: (1.0,), lambda d: (True,),
+        lambda d: (1, 0), lambda d: 0, lambda d: d + 1, lambda d: 1.0, lambda d: True,
+        lambda d: (),
+    ], ids=["(0,)", "(d+1,)", "(1.0,)", "(True,)", "(1,0)", "0", "d+1", "1.0", "True", "()"])
+    def test_bad_cycle_rejected(self, bad):
+        class BadCycle(RotorRouter):
+            def cycle(self, d):
+                return bad(d)
+        with pytest.raises(AgentViolationError):
+            run(path3(), BadCycle(), 2, ("steps", 2))
 
 
 class TestExport:
