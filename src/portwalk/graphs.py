@@ -236,16 +236,37 @@ def bfs_distances(g: PortLabeledGraph, start: int) -> list[int | None]:
 
 
 def diameter(g: PortLabeledGraph) -> int:
-    """Exact diameter by breadth-first search from every node."""
-    best = 0
-    for v in range(g.n):
-        dist = bfs_distances(g, v)
-        for x in dist:
-            if x is None:
+    """Exact diameter by breadth-first search from every node at once.
+
+    After r rounds, ball[v] is a Python-int bitset of the nodes within r
+    hops of v. Each round ORs every live ball with its neighbors' balls
+    from the previous round, so it adds exactly one hop; a node leaves the
+    live list once its ball holds all n nodes, and D is the number of
+    rounds until none is live. A live ball that stops growing is a whole
+    component short of n nodes, so the graph is disconnected. Cost: O(D*m)
+    ORs of n-bit ints, holding two lists of n n-bit ints (about n^2/4
+    bytes); with D near n, as on a long path, that is no faster than n
+    separate searches.
+    """
+    full = (1 << g.n) - 1
+    ball = [1 << v for v in range(g.n)]
+    live = [v for v in range(g.n) if ball[v] != full]
+    rounds = 0
+    while live:
+        grown = ball[:]
+        still = []
+        for v in live:
+            b = ball[v]
+            for w in g.port_map[v]:
+                b |= ball[w]
+            if b == ball[v]:
                 raise InvalidVertexError("graph is disconnected")
-            if x > best:
-                best = x
-    return best
+            grown[v] = b
+            if b != full:
+                still.append(v)
+        ball, live = grown, still
+        rounds += 1
+    return rounds
 
 
 def validate(g: PortLabeledGraph) -> list[str]:

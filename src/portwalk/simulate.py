@@ -264,9 +264,10 @@ def export_trace(trace: SimulationTrace) -> str:
     with covered_at and per-node first_visit / visit_counts.
     """
     g = trace.graph
+    arcs = [[f"{v},{p},{w}" for p, w in enumerate(row, 1)]
+            for v, row in enumerate(g.port_map)]
     lines = ["step,node,outport,next_node"]
-    for k, (node, p) in enumerate(_moves(trace)):
-        lines.append(f"{k},{node},{p},{g.port_map[node][p - 1]}")
+    lines.extend(f"{k},{arcs[node][p - 1]}" for k, (node, p) in enumerate(_moves(trace)))
     lines.append("summary")
     covered = "none" if trace.covered_at is None else str(trace.covered_at)
     lines.append(f"covered_at,{covered}")

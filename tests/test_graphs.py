@@ -1,9 +1,13 @@
 """Graph model: builders, invariants, validation, serialization."""
 
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from portwalk.adversary import build_cubic_instance
+from portwalk.agents import RotorRouter
 from portwalk.errors import (
     GraphParseError,
     GraphSemanticError,
@@ -35,6 +39,22 @@ def graph_cases():
     yield replace_pendant_with_path(build_clique_pendant(6, 1), 0,
                                     PathLabeling(8, (1,) * 5 + (2,)))
     yield random_connected_graph(9, 14, seed=3)
+
+
+def diameter_cases():
+    """Trees, complete graphs and graphs in between for n = 1..60, random path
+    labelings, clique-pendants and the rotor-router's cubic instances."""
+    rng = Random(7)
+    for n in range(1, 61):
+        full = n * (n - 1) // 2
+        for m in sorted({n - 1, rng.randint(n - 1, full), full}):
+            yield random_connected_graph(n, m, rng.randrange(2 ** 31))
+    for n in range(2, 40):
+        yield build_path(PathLabeling(n, tuple(rng.choice((1, 2)) for _ in range(n - 2))))
+    for d in range(2, 15):
+        yield build_clique_pendant(d, rng.randint(1, d))
+    for n in (18, 30, 90, 180):
+        yield build_cubic_instance(RotorRouter(), n).graph
 
 
 class TestPathLabeling:
@@ -249,6 +269,22 @@ class TestBfs:
 
     def test_diameter_clique_pendant(self):
         assert diameter(build_clique_pendant(4, 1)) == 3
+
+    def test_diameter_matches_bfs_from_every_node(self):
+        for g in diameter_cases():
+            ecc = max(max(bfs_distances(g, v)) for v in range(g.n))
+            assert diameter(g) == ecc, (g.n, g.m)
+
+    def test_diameter_one_node(self):
+        assert diameter(PortLabeledGraph(1, ((),))) == 0
+
+    @pytest.mark.parametrize("rows", [
+        ((1,), (0,), (3,), (2,)),  # two disjoint edges
+        ((), (2,), (1,)),          # an isolated node beside an edge
+    ])
+    def test_diameter_disconnected(self, rows):
+        with pytest.raises(InvalidVertexError, match="^graph is disconnected$"):
+            diameter(PortLabeledGraph(len(rows), rows))
 
 
 class TestSerialization:

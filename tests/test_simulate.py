@@ -397,6 +397,16 @@ class TestExport:
         assert "covered_at,none" in text
         assert "0,none,0" in text
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_rows_at_multi_digit_ports(self, seed):
+        g = random_connected_graph(60, 600, seed)
+        for agent in battery().values():
+            t = run(g, agent, 0, ("steps", 2000))
+            lines = export_trace(t).split("\n")
+            assert lines[1:lines.index("summary")] == [
+                f"{k},{v},{p},{g.port_map[v][p - 1]}" for k, (v, p) in enumerate(t.moves)]
+        assert max(p for _, p in run(g, ROTOR, 0, ("steps", 2000)).moves) >= 10
+
     def test_counters_only_rejected(self):
         t = run(path3(), ROTOR, 2, ("steps", 5), record_moves=False)
         with pytest.raises(ValueError):
