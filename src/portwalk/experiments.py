@@ -7,7 +7,6 @@ failed; identical invocations produce byte-identical output.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,8 +20,8 @@ from .adversary import (
     verify_path_bound,
 )
 from .errors import InvalidLimitError, InvalidSizeError
-from .graphs import PathLabeling, build_path, diameter, random_connected_graph
-from .simulate import run
+from .graphs import PathLabeling, diameter, random_connected_graph
+from .simulate import _cap, _compile, _port, run
 
 
 def battery() -> dict[str, PortFunction]:
@@ -105,27 +104,94 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
                                 cap: int | None = None) -> BruteForceResult:
     """Try every one of the 2^(n-2) path labelings and keep the worst.
 
-    Independent of the majority construction: this is plain enumeration,
-    running the agent from v_n until it first visits v_1. Refuses n > 14
-    where the enumeration stops being desk-scale.
+    Independent of the majority construction: the agent walks from v_n
+    until it first visits v_1, with cap (default 4n^3) bounding each walk
+    as in run(). Refuses n > 14 where the enumeration stops being
+    desk-scale.
+
+    The labelings are enumerated depth-first on shared walk prefixes. A
+    walk from v_n reaches v_i before any of v_(i-1)..v_1, so up to its
+    first arrival at v_i it depends only on the labels of v_(i+1)..v_(n-1).
+    There the search branches on v_i's label and each branch continues
+    from a copy of the walk state. A branch that hits the cap before its
+    next new node v_(i-1) counts all 2^(i-2) labelings below it as
+    unstopped at once. Among labelings of equal worst cost the result
+    keeps the lexicographically smallest toward_far (the first in the
+    order of itertools.product((1, 2), ...)). If some walks raise, the
+    error raised is that of the first such labeling in the same order.
+    An agent without a cycle is asked outport(d, i) once per index that
+    some walk reaches.
     """
     if n < 2:
         raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")
     if n > 14:
         raise InvalidSizeError(f"n={n} means 2^{n - 2} labelings; use n <= 14")
-    best: int | None = None
-    best_labeling: PathLabeling | None = None
+    cap = _cap(cap, n)
+    # port_d(i) is ports1[(i - 1) % period1] at d = 1 and likewise at d = 2.
+    # A periodic agent's ports are its checked cycles; any other agent's are
+    # read on demand, one index past the end at a time, under a period no
+    # visit index reaches. (n = 2 has no degree-2 node.)
+    cycles = _compile(agent, [1, 2][:n - 1])
+    if cycles is None:
+        ports1, ports2, period1, period2 = [], [], cap, cap
+    else:
+        ports1, ports2 = cycles[0], cycles[-1]
+        period1, period2 = len(ports1), len(ports2)
+    outport = agent.outport
+
+    # Node v_k has id k - 1. label[v] is toward_far of internal node v;
+    # the walk leaves v for v + 1 exactly when it takes port label[v].
+    top = n - 1
+    label = [0] * n
+    worst: tuple[int, tuple[int, ...]] | None = None  # (-steps, toward_far)
     unstopped = 0
-    for bits in itertools.product((1, 2), repeat=max(n - 2, 0)):
-        labeling = PathLabeling(n, bits)
-        g = build_path(labeling)
-        t = run(g, agent, n - 1, ("target", 0), cap=cap, record_moves=False)
-        if not t.stopped:
-            unstopped += 1
-        elif best is None or t.steps > best:
-            best = t.steps
-            best_labeling = labeling
-    return BruteForceResult(n=n, max_steps=best, labeling=best_labeling,
+    error: tuple[tuple[int, ...], Exception] | None = None
+    # (j, label of j, current node, visit counts, steps): a walk whose
+    # lowest node so far is j, with labels fixed on j..n-2.
+    stack = [(top, 0, top, [0] * top + [1], 0)]
+    while stack:
+        j, label_j, cur, counts, steps = stack.pop()
+        label[j] = label_j
+        try:
+            while steps < cap:
+                c = counts[cur]
+                if cur == top:
+                    i = (c - 1) % period1
+                    if i == len(ports1):
+                        ports1.append(_port(outport(1, c), 1))
+                    cur -= 1
+                else:
+                    i = (c - 1) % period2
+                    if i == len(ports2):
+                        ports2.append(_port(outport(2, c), 2))
+                    cur += 1 if ports2[i] == label[cur] else -1
+                steps += 1
+                counts[cur] += 1
+                if cur < j:
+                    break
+        except Exception as e:
+            # The agent raised for every labeling below this branch; the
+            # enumeration raises it for the smallest raising labeling.
+            first = (1,) * (j - 1) + tuple(label[j:top])
+            if error is None or first < error[0]:
+                error = (first, e)
+            continue
+        if cur >= j:
+            unstopped += 1 << (j - 1)
+        elif cur == 0:
+            leaf = (-steps, tuple(label[1:top]))
+            if worst is None or leaf < worst:
+                worst = leaf
+        else:
+            stack.append((cur, 2, cur, counts.copy(), steps))
+            stack.append((cur, 1, cur, counts, steps))
+    if error is not None:
+        raise error[1]
+    if worst is None:
+        return BruteForceResult(n=n, max_steps=None, labeling=None,
+                                unstopped=unstopped)
+    return BruteForceResult(n=n, max_steps=-worst[0],
+                            labeling=PathLabeling(n, worst[1]),
                             unstopped=unstopped)
 
 

@@ -18,7 +18,10 @@ failed, since several bound checks are conditional on the walk finishing.
 run() compiles an agent that is periodic at every degree of the graph
 (PortFunction.cycle(d) is a tuple) into one successor row per node:
 row v lists the node reached from v on each visit index of one period,
-so a step costs two list lookups and no call into the agent. When the
+so a step costs two list lookups and no call into the agent. A node's
+row is built on its first visit (the start node's before the first
+step), so a short walk on a large graph builds only the rows it uses;
+each degree's cycle is still checked before the first step. When the
 agent returns None for some degree in use (fail scripts, whiteboard
 agents, a cycle script without a table there, subclasses that give no
 cycle), run() asks outport(d, i) at every step instead. Both loops give
@@ -75,6 +78,25 @@ def _whole(value, what: str) -> int:
     return value
 
 
+def _cap(cap, n: int) -> int:
+    """cap, or 4*n^3 when it is None; InvalidLimitError unless an int >= 1."""
+    if cap is None:
+        return 4 * n * n * n
+    if _whole(cap, "cap") < 1:
+        raise InvalidLimitError(f"cap must be at least 1, got {cap}")
+    return cap
+
+
+def _port(p, d: int) -> int:
+    """p itself if it is a port of a degree-d node (an int, not a bool, in 1..d).
+
+    Raises AgentViolationError otherwise.
+    """
+    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
+        raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
+    return p
+
+
 def _compile(agent: PortFunction, degs: list[int]) -> list[tuple[int, ...]] | None:
     """Each node's cycle(d), or None if the agent gives none at a degree in use.
 
@@ -89,10 +111,18 @@ def _compile(agent: PortFunction, degs: list[int]) -> list[tuple[int, ...]] | No
         if not isinstance(cyc, tuple) or not cyc:
             raise AgentViolationError(f"agent cycle at degree {d} is {cyc!r}")
         for p in cyc:
-            if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
-                raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
+            _port(p, d)
         by_degree[d] = cyc
     return [by_degree[d] for d in degs]
+
+
+def _successors(row: tuple[int, ...], cycle: tuple[int, ...]) -> list[int]:
+    """The node reached through row's ports on each visit index of one period.
+
+    A function rather than a comprehension inside run(), where it would
+    turn cur into a closure cell read on every step.
+    """
+    return [row[q - 1] for q in cycle]
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -115,10 +145,7 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     n = g.n
     if not 0 <= start < n:
         raise InvalidVertexError(f"start node {start} out of range")
-    if cap is None:
-        cap = 4 * n * n * n
-    if _whole(cap, "cap") < 1:
-        raise InvalidLimitError(f"cap must be at least 1, got {cap}")
+    cap = _cap(cap, n)
 
     # The walk stops at its first arrival at target, or at the first visit
     # that leaves stop_unvisited nodes unvisited (-1 stands for neither).
@@ -160,7 +187,8 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     steps = 0
     if cycles is not None:
         lens = [len(cyc) for cyc in cycles]
-        nexts = [[row[q - 1] for q in cyc] for row, cyc in zip(port_map, cycles)]
+        nexts: list[list[int] | None] = [None] * n
+        nexts[cur] = _successors(port_map[cur], cycles[cur])
         for steps in range(1, limit + 1):
             i = visit_counts[cur] % lens[cur] - 1
             if moves is not None:
@@ -176,6 +204,7 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
                 if cur == target or unvisited == stop_unvisited:
                     stopped = True
                     break
+                nexts[cur] = _successors(port_map[cur], cycles[cur])
     else:
         # A non-int port fails the range test or the row lookup with a
         # TypeError raised in this frame, not in the agent.
@@ -275,4 +304,5 @@ def export_trace(trace: SimulationTrace) -> str:
     for v in range(g.n):
         fv = "none" if trace.first_visit[v] is None else str(trace.first_visit[v])
         lines.append(f"{v},{fv},{trace.visit_counts[v]}")
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)

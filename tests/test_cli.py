@@ -242,6 +242,14 @@ class TestBruteforceCommand:
         assert main(["bruteforce-path", "--agent", "rotor-router",
                      "--n", "20"]) == 2
 
+    def test_always_one_at_fourteen(self, capsys):
+        code = main(["bruteforce-path", "--agent", "always-1", "--n", "14"])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "experiment,agent,n,param,bound,measured,verdict\n"
+            "bruteforce-path,always-1,14,unstopped=4095,169,13,pass\n"
+            "aggregate,,,,,,pass\n")
+
 
 class TestRotorUpperCommand:
     def test_cases_pass(self, capsys):

@@ -1,10 +1,14 @@
 """Oracles, sweeps, and report plumbing."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portwalk.adversary import verify_path_bound
-from portwalk.agents import RotorRouter
-from portwalk.errors import InvalidLimitError, InvalidSizeError
+from portwalk.agents import RotorRouter, ScriptedPortFunction, whiteboard_rotor_router
+from portwalk.errors import HorizonExceededError, InvalidLimitError, InvalidSizeError
 from portwalk.experiments import (
     BruteForceResult,
     ExperimentReport,
@@ -16,7 +20,7 @@ from portwalk.experiments import (
     path_bound_sweep,
     rotor_upper_bound_sweep,
 )
-from portwalk.graphs import PortLabeledGraph, diameter
+from portwalk.graphs import PathLabeling, PortLabeledGraph, build_path, diameter
 from portwalk.simulate import run
 
 ROTOR = RotorRouter()
@@ -60,6 +64,15 @@ class TestBruteForce:
         assert result.max_steps == 3
         assert result.unstopped == 3
 
+    def test_always_one_at_fourteen(self):
+        # only the all-inward labeling lets always-1 through; every other
+        # walk bounces on the first arc whose port 1 points away from v_1
+        # until the 4n^3 cap
+        result = brute_force_path_worst_case(battery()["always-1"], 14)
+        assert result.max_steps == 13
+        assert result.unstopped == 4095
+        assert result.labeling == PathLabeling(14, (2,) * 12)
+
     @pytest.mark.parametrize("max_steps, unstopped, measured, verdict", [
         (9, 0, "9", "pass"),
         (8, 0, "8", "fail"),
@@ -84,6 +97,94 @@ class TestBruteForce:
             if name == "rotor-router":
                 assert result.max_steps == (n - 1) ** 2
                 assert result.unstopped == 0
+
+
+def reference_enumeration(agent, n, cap=None):
+    """The enumeration as one walk per labeling, in itertools.product order."""
+    best = best_labeling = None
+    unstopped = 0
+    for bits in itertools.product((1, 2), repeat=n - 2):
+        labeling = PathLabeling(n, bits)
+        t = run(build_path(labeling), agent, n - 1, ("target", 0), cap=cap,
+                record_moves=False)
+        if not t.stopped:
+            unstopped += 1
+        elif best is None or t.steps > best:
+            best, best_labeling = t.steps, labeling
+    return BruteForceResult(n=n, max_steps=best, labeling=best_labeling,
+                            unstopped=unstopped)
+
+
+def outcome(enumerate_labelings, agent, n, cap=None):
+    try:
+        return enumerate_labelings(agent, n, cap)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def script_tables():
+    """Degree-1 and degree-2 tables of up to 9 entries; degree 1 optional."""
+    return st.fixed_dictionaries(
+        {2: st.lists(st.integers(1, 2), min_size=1, max_size=9)},
+        optional={1: st.lists(st.just(1), min_size=1, max_size=9)})
+
+
+class TestBruteForceMatchesReference:
+    """The depth-first enumeration against one walk per labeling."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_battery(self, n):
+        for agent in battery().values():
+            assert brute_force_path_worst_case(agent, n) == reference_enumeration(agent, n)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_caps_cut_walks(self, n):
+        # caps at and between the steps where walks first reach new nodes;
+        # at n = 2 the cap n-2 is 0, which both reject
+        for agent in battery().values():
+            for cap in (1, n - 2, n - 1, n, 3 * n):
+                assert (outcome(brute_force_path_worst_case, agent, n, cap)
+                        == outcome(reference_enumeration, agent, n, cap)), (agent.name, cap)
+
+    @pytest.mark.parametrize("agent", [
+        ScriptedPortFunction({2: [2, 1, 1, 2, 1, 2, 2]}, "cycle", name="cycle-2112122"),
+        ScriptedPortFunction({1: [1, 1], 2: [2, 2, 1]}, "cycle", name="cycle-221"),
+        whiteboard_rotor_router(),
+    ], ids=lambda a: a.name)
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_scripts_and_whiteboard(self, agent, n):
+        assert brute_force_path_worst_case(agent, n) == reference_enumeration(agent, n)
+
+    @pytest.mark.parametrize("tables, n", [
+        ({2: [1, 2, 2, 1, 2]}, 6),
+        # the first labeling that raises runs out of its degree-1 table;
+        # labelings later in product order but earlier depth-first run
+        # out of the degree-2 table
+        ({1: [1, 1, 1, 1], 2: [2, 2, 2, 1, 2, 2, 1]}, 5),
+        ({1: [1], 2: [2, 2, 1, 2, 2]}, 7),
+    ])
+    def test_fail_script_runs_out(self, tables, n):
+        agent = ScriptedPortFunction(tables, "fail")
+        finished = reference_enumeration(ScriptedPortFunction(tables, "cycle"), n)
+        assert finished.max_steps is not None  # some labelings finish first
+        want = outcome(reference_enumeration, agent, n)
+        assert want[0] is HorizonExceededError
+        assert outcome(brute_force_path_worst_case, agent, n) == want
+
+    @given(script_tables(), st.sampled_from(["cycle", "fail"]), st.integers(2, 8),
+           st.one_of(st.none(), st.integers(1, 80)))
+    @settings(max_examples=120, deadline=None)
+    def test_random_scripts(self, tables, extension, n, cap):
+        agent = ScriptedPortFunction(tables, extension)
+        assert (outcome(brute_force_path_worst_case, agent, n, cap)
+                == outcome(reference_enumeration, agent, n, cap))
+
+    @pytest.mark.parametrize("cap", [True, False, 0, -3, 2.0])
+    def test_bad_cap(self, cap):
+        with pytest.raises(InvalidLimitError):
+            brute_force_path_worst_case(ROTOR, 5, cap=cap)
+        assert (outcome(brute_force_path_worst_case, ROTOR, 5, cap)
+                == outcome(reference_enumeration, ROTOR, 5, cap))
 
 
 class TestPathSweep:

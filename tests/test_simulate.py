@@ -5,6 +5,8 @@ from the visit-counting convention (start node occupied at step 0, first
 exit uses visit index 1) before the engine existed.
 """
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -359,6 +361,22 @@ class TestCompiledLoop:
         record = data.draw(st.booleans())
         assert (outcome(g, agent, start, stop, cap, record)
                 == outcome(g, CallBased(agent), start, stop, cap, record))
+
+    def test_short_walk_builds_only_visited_rows(self):
+        # Rows for all 2,000 nodes of a 5,000-entry cycle would hold 10^7
+        # successor entries (about 80 MB) for a 10-step walk.
+        g = build_path(PathLabeling(2000, (1, 2) * 999))
+        agent = ScriptedPortFunction({2: [2, 1, 1, 2] * 1250}, "cycle")
+        tracemalloc.start()
+        try:
+            t = run(g, agent, 1999, ("steps", 10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
+        assert (outcome(g, agent, 1999, ("steps", 10), None, True)
+                == outcome(g, CallBased(agent), 1999, ("steps", 10), None, True))
+        assert t.steps == 10
 
     @pytest.mark.parametrize("bad", [
         lambda d: (0,), lambda d: (d + 1,), lambda d: (1.0,), lambda d: (True,),
