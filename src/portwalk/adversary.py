@@ -47,7 +47,7 @@ from .graphs import (
     replace_pendant_with_path,
     serialize,
 )
-from .simulate import SimulationTrace, run, visit_count_upto
+from .simulate import SimulationTrace, _cap, run, visit_count_upto
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,7 @@ def verify_cubic_bound(agent: PortFunction, n: int, cap: int | None = None,
     d = inst.construction_log["d"]
     v_star = inst.construction_log["v_star"]
     bound = inst.certified_bound
-    if cap is None:
-        cap = 4 * g.n ** 3
+    cap = _cap(cap, g.n)
     big = run(g, agent, start, "covered", cap=cap, record_moves=False)
     replay = run(g, agent, start, ("steps", bound), record_moves=False)
     visits = visit_count_upto(replay, v_star, replay.steps)

@@ -15,11 +15,12 @@ regardless of its script.
 
 An agent that is periodic at degree d says so through cycle(d): a tuple
 (port_d(1), ..., port_d(P)) with port_d(i + P) = port_d(i) for every
-i >= 1, or None when it gives no such promise. The engine compiles a
-periodic agent into per-node successor rows and only calls outport for
-agents whose cycle is None. The rotor-router, cyclic patterns and
-"cycle" scripts are periodic at every degree they answer; "fail"
-scripts, whiteboard agents and the base class return None.
+i >= 1, or None when it gives no such promise. The engine reads a
+periodic agent from its checked cycles and never calls its outport; at a
+degree whose cycle is None it asks outport(d, i) once per index a walk
+reaches. The rotor-router, cyclic patterns and "cycle" scripts are
+periodic at every degree they answer; "fail" scripts, whiteboard agents
+and the base class return None.
 """
 
 from __future__ import annotations

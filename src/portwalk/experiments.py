@@ -21,7 +21,7 @@ from .adversary import (
 )
 from .errors import InvalidLimitError, InvalidSizeError
 from .graphs import PathLabeling, diameter, random_connected_graph
-from .simulate import _cap, _compile, _port, run
+from .simulate import _cap, _compile, run
 
 
 def battery() -> dict[str, PortFunction]:
@@ -127,17 +127,11 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     if n > 14:
         raise InvalidSizeError(f"n={n} means 2^{n - 2} labelings; use n <= 14")
     cap = _cap(cap, n)
-    # port_d(i) is ports1[(i - 1) % period1] at d = 1 and likewise at d = 2.
-    # A periodic agent's ports are its checked cycles; any other agent's are
-    # read on demand, one index past the end at a time, under a period no
-    # visit index reaches. (n = 2 has no degree-2 node.)
-    cycles = _compile(agent, [1, 2][:n - 1])
-    if cycles is None:
-        ports1, ports2, period1, period2 = [], [], cap, cap
-    else:
-        ports1, ports2 = cycles[0], cycles[-1]
-        period1, period2 = len(ports1), len(ports2)
-    outport = agent.outport
+    # port_d(i) is ports1[(i - 1) % period1] at d = 1 and likewise at d = 2,
+    # on run()'s port sequences. (n = 2 has no degree-2 node.)
+    ports = _compile(agent, [1, 2][:n - 1])
+    ports1, ports2 = ports[0], ports[-1]
+    period1, period2 = len(ports1), len(ports2)
 
     # Node v_k has id k - 1. label[v] is toward_far of internal node v;
     # the walk leaves v for v + 1 exactly when it takes port label[v].
@@ -156,15 +150,10 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
             while steps < cap:
                 c = counts[cur]
                 if cur == top:
-                    i = (c - 1) % period1
-                    if i == len(ports1):
-                        ports1.append(_port(outport(1, c), 1))
+                    ports1[(c - 1) % period1]  # always 1; read for its check
                     cur -= 1
                 else:
-                    i = (c - 1) % period2
-                    if i == len(ports2):
-                        ports2.append(_port(outport(2, c), 2))
-                    cur += 1 if ports2[i] == label[cur] else -1
+                    cur += 1 if ports2[(c - 1) % period2] == label[cur] else -1
                 steps += 1
                 counts[cur] += 1
                 if cur < j:

@@ -87,9 +87,9 @@ class PathLabeling:
                 f"labeling for {self.n} nodes needs {self.n - 2} entries, "
                 f"got {len(self.toward_far)}"
             )
-        for k, entry in enumerate(self.toward_far):
-            if entry not in (1, 2):
-                raise InvalidPortError(f"entry {k} is {entry}, must be 1 or 2")
+        for k, e in enumerate(self.toward_far):
+            if not isinstance(e, int) or isinstance(e, bool) or e not in (1, 2):
+                raise InvalidPortError(f"entry {k} is {e!r}, must be 1 or 2")
 
 
 def build_path(labeling: PathLabeling) -> PortLabeledGraph:
@@ -122,8 +122,8 @@ def build_clique_pendant(d: int, p: int) -> PortLabeledGraph:
     """
     if d < 2:
         raise InvalidSizeError(f"clique degree must be at least 2, got {d}")
-    if not 1 <= p <= d:
-        raise InvalidPortError(f"pendant port {p} outside 1..{d}")
+    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= d:
+        raise InvalidPortError(f"pendant port {p!r} is not an int in 1..{d}")
     rows: list[list[int]] = []
     other_ports = [q for q in range(1, d + 1) if q != p]
     for k in range(d):

@@ -15,22 +15,22 @@ All runs are additionally bounded by a step cap; a run that hits the cap
 without firing its stop condition is flagged not-stopped rather than
 failed, since several bound checks are conditional on the walk finishing.
 
-run() compiles an agent that is periodic at every degree of the graph
-(PortFunction.cycle(d) is a tuple) into one successor row per node:
-row v lists the node reached from v on each visit index of one period,
-so a step costs two list lookups and no call into the agent. A node's
-row is built on its first visit (the start node's before the first
+run() reads every agent through one port sequence per degree: the
+agent's checked cycle(d) when it is periodic there, or else port_d(1),
+port_d(2), ... read from outport once per index, the first time a walk
+needs it. Each node gets a successor row over its degree's sequence:
+row v lists the node reached from v on each visit index, so a step costs
+two lookups, and a periodic agent's step makes no call into the agent. A
+node's row is built on its first visit (the start node's before the first
 step), so a short walk on a large graph builds only the rows it uses;
-each degree's cycle is still checked before the first step. When the
-agent returns None for some degree in use (fail scripts, whiteboard
-agents, a cycle script without a table there, subclasses that give no
-cycle), run() asks outport(d, i) at every step instead. Both loops give
-the same traces and raise the same errors.
+each degree's cycle is still checked before the first step.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from typing import Sequence
 
 from .agents import PortFunction
 from .errors import (
@@ -97,17 +97,48 @@ def _port(p, d: int) -> int:
     return p
 
 
-def _compile(agent: PortFunction, degs: list[int]) -> list[tuple[int, ...]] | None:
-    """Each node's cycle(d), or None if the agent gives none at a degree in use.
+class _Ports:
+    """port_d(1), port_d(2), ... of an agent with no cycle at degree d.
 
-    Every entry is checked once here: an int that is not a bool, in 1..d.
-    Degree 0 (the one-node graph) never takes a step and gets ().
+    Entry i is _port(outport(d, i + 1), d), asked when first read. Its
+    length is a period no visit index reaches, so it reads like a cycle.
     """
-    by_degree: dict[int, tuple[int, ...]] = {0: ()}
+
+    def __init__(self, outport, d: int):
+        self.outport, self.d, self.read = outport, d, []
+
+    def __len__(self) -> int:
+        return sys.maxsize
+
+    def __getitem__(self, i: int) -> int:
+        read = self.read
+        while len(read) <= i:
+            read.append(_port(self.outport(self.d, len(read) + 1), self.d))
+        return read[i]
+
+
+class _Row:
+    """Successor row of one node over a _Ports sequence, read lazily."""
+
+    def __init__(self, row: tuple[int, ...], ports: _Ports):
+        self.row, self.ports = row, ports
+
+    def __getitem__(self, i: int) -> int:
+        return self.row[self.ports[i] - 1]
+
+
+def _compile(agent: PortFunction, degs: list[int]) -> list[Sequence[int]]:
+    """Each node's port sequence: its degree's cycle(d), or else a _Ports.
+
+    Every cycle entry is checked once here: an int that is not a bool, in
+    1..d. Degree 0 (the one-node graph) never takes a step and gets ().
+    """
+    by_degree: dict[int, Sequence[int]] = {0: ()}
     for d in set(degs) - {0}:
         cyc = agent.cycle(d)
         if cyc is None:
-            return None
+            by_degree[d] = _Ports(agent.outport, d)
+            continue
         if not isinstance(cyc, tuple) or not cyc:
             raise AgentViolationError(f"agent cycle at degree {d} is {cyc!r}")
         for p in cyc:
@@ -116,13 +147,16 @@ def _compile(agent: PortFunction, degs: list[int]) -> list[tuple[int, ...]] | No
     return [by_degree[d] for d in degs]
 
 
-def _successors(row: tuple[int, ...], cycle: tuple[int, ...]) -> list[int]:
+def _successors(row: tuple[int, ...], ports: Sequence[int]) -> Sequence[int]:
     """The node reached through row's ports on each visit index of one period.
 
-    A function rather than a comprehension inside run(), where it would
-    turn cur into a closure cell read on every step.
+    A list for a cycle, a _Row for a _Ports. A function rather than a
+    comprehension inside run(), where it would turn cur into a closure
+    cell read on every step.
     """
-    return [row[q - 1] for q in cycle]
+    if isinstance(ports, _Ports):
+        return _Row(row, ports)
+    return [row[q - 1] for q in ports]
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -138,9 +172,10 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
 
     A walk that takes a step first fetches agent.cycle(d) once per degree
     of the graph and checks every entry (an int, not a bool, in 1..d),
-    raising AgentViolationError otherwise. If every degree has a cycle,
-    the walk runs on the compiled successor rows; if any is None, it
-    calls agent.outport at every step and checks each port it returns.
+    raising AgentViolationError otherwise. At a degree whose cycle is
+    None it asks agent.outport(d, i) once per index i, on the first
+    visit with that index to a node of that degree, and checks the port
+    the same way.
     """
     n = g.n
     if not 0 <= start < n:
@@ -179,20 +214,20 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     stopped = cur == target or unvisited == stop_unvisited
     if stopped or degs[cur] == 0:
         limit = 0
-    cycles = _compile(agent, degs) if limit else None
 
     # Every earlier occupancy of cur ended in an exit, so its visit index
-    # is its occupancy count c. The compiled loop reads port_d(c) =
-    # cycle[(c - 1) mod P] at index c % P - 1 (-1 being the last entry).
+    # is its occupancy count c. The loop reads port_d(c) = ports[(c - 1)
+    # mod P] at index c % P - 1 (-1 being the last entry).
     steps = 0
-    if cycles is not None:
-        lens = [len(cyc) for cyc in cycles]
-        nexts: list[list[int] | None] = [None] * n
-        nexts[cur] = _successors(port_map[cur], cycles[cur])
+    if limit:
+        ports = _compile(agent, degs)
+        lens = [len(seq) for seq in ports]
+        nexts: list[Sequence[int] | None] = [None] * n
+        nexts[cur] = _successors(port_map[cur], ports[cur])
         for steps in range(1, limit + 1):
             i = visit_counts[cur] % lens[cur] - 1
             if moves is not None:
-                moves.append((cur, cycles[cur][i]))
+                moves.append((cur, ports[cur][i]))
             cur = nexts[cur][i]
             c = visit_counts[cur] + 1
             visit_counts[cur] = c
@@ -204,38 +239,7 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
                 if cur == target or unvisited == stop_unvisited:
                     stopped = True
                     break
-                nexts[cur] = _successors(port_map[cur], cycles[cur])
-    else:
-        # A non-int port fails the range test or the row lookup with a
-        # TypeError raised in this frame, not in the agent.
-        outport = agent.outport
-        p = 1
-        try:
-            while steps < limit:
-                d = degs[cur]
-                p = outport(d, visit_counts[cur])
-                if p < 1 or p > d or p is True:
-                    raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
-                nxt = port_map[cur][p - 1]
-                if moves is not None:
-                    moves.append((cur, p))
-                steps += 1
-                c = visit_counts[nxt] + 1
-                visit_counts[nxt] = c
-                cur = nxt
-                if c == 1:
-                    first_visit[nxt] = steps
-                    unvisited -= 1
-                    if unvisited == 0:
-                        covered_at = steps
-                    if nxt == target or unvisited == stop_unvisited:
-                        stopped = True
-                        break
-        except TypeError as e:
-            if e.__traceback__.tb_next is None and not isinstance(p, int):
-                raise AgentViolationError(
-                    f"agent returned port {p!r} at degree {d}") from None
-            raise
+                nexts[cur] = _successors(port_map[cur], ports[cur])
 
     if budget is not None:
         stopped = steps == budget

@@ -28,6 +28,7 @@ from portwalk.cli import main
 from portwalk.errors import (
     AgentViolationError,
     HorizonExceededError,
+    InvalidLimitError,
     InvalidSizeError,
     InvalidVertexError,
 )
@@ -235,6 +236,7 @@ class TestBuildCubicInstance:
 class TestVerifyCubicBound:
     def test_rotor_eighteen(self):
         r = verify_cubic_bound(ROTOR, 18)
+        assert r.cap == 4 * r.instance.graph.n ** 3
         assert r.verdict == "pass"
         assert r.cover is not None and r.cover >= 180
         assert r.v_star_visits <= r.v_star_budget == 30
@@ -249,6 +251,11 @@ class TestVerifyCubicBound:
         assert r.verdict == "pass-vacuous"
         assert r.cover is None
         assert r.passed
+
+    @pytest.mark.parametrize("cap", [0, -3, True, 2.0])
+    def test_bad_cap(self, cap):
+        with pytest.raises(InvalidLimitError, match="^cap must be"):
+            verify_cubic_bound(ROTOR, 18, cap=cap)
 
 
 class TestPrefixEquivalence:

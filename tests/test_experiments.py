@@ -7,8 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from portwalk.adversary import verify_path_bound
-from portwalk.agents import RotorRouter, ScriptedPortFunction, whiteboard_rotor_router
-from portwalk.errors import HorizonExceededError, InvalidLimitError, InvalidSizeError
+from portwalk.agents import (
+    PortFunction,
+    RotorRouter,
+    ScriptedPortFunction,
+    whiteboard_rotor_router,
+)
+from portwalk.errors import (
+    AgentViolationError,
+    HorizonExceededError,
+    InvalidLimitError,
+    InvalidSizeError,
+)
 from portwalk.experiments import (
     BruteForceResult,
     ExperimentReport,
@@ -21,7 +31,7 @@ from portwalk.experiments import (
     rotor_upper_bound_sweep,
 )
 from portwalk.graphs import PathLabeling, PortLabeledGraph, build_path, diameter
-from portwalk.simulate import run
+from portwalk.simulate import outports_taken, run
 
 ROTOR = RotorRouter()
 
@@ -185,6 +195,48 @@ class TestBruteForceMatchesReference:
             brute_force_path_worst_case(ROTOR, 5, cap=cap)
         assert (outcome(brute_force_path_worst_case, ROTOR, 5, cap)
                 == outcome(reference_enumeration, ROTOR, 5, cap))
+
+
+class Counting(PortFunction):
+    """Forwards outport, gives no cycle, and records every (d, i) it is asked."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.calls = []
+
+    def outport(self, d, i):
+        self.calls.append((d, i))
+        return self.agent.outport(d, i)
+
+
+class TestBruteForceReadsPortsOnce:
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_outport_asked_once_per_index(self, n):
+        for agent in [*battery().values(), whiteboard_rotor_router()]:
+            counting = Counting(agent)
+            assert (brute_force_path_worst_case(counting, n)
+                    == reference_enumeration(agent, n))
+            # degree d is asked exactly 1..k, k the most exits of one node of
+            # degree d in any labeling's walk
+            most = {1: 0, 2: 0}
+            for bits in itertools.product((1, 2), repeat=n - 2):
+                g = build_path(PathLabeling(n, bits))
+                t = run(g, agent, n - 1, ("target", 0))
+                for v in range(n):
+                    d = g.degree(v)
+                    most[d] = max(most[d], len(outports_taken(t, v)))
+            want = [(d, i) for d in (1, 2) for i in range(1, most[d] + 1)]
+            assert sorted(counting.calls) == want, agent.name
+
+    @pytest.mark.parametrize("lazy, bad", [(1, 2), (2, 1)])
+    def test_bad_cycle_beside_none_rejected(self, lazy, bad):
+        class Mixed(Counting):
+            def cycle(self, d):
+                return None if d == lazy else (d + 1,)
+        agent = Mixed(ROTOR)
+        with pytest.raises(AgentViolationError, match=f"port {bad + 1} at degree {bad}"):
+            brute_force_path_worst_case(agent, 5)
+        assert agent.calls == []
 
 
 class TestPathSweep:

@@ -63,8 +63,9 @@ class TestPathLabeling:
             PathLabeling(4, (1,))
 
     def test_entries_must_be_ports(self):
-        with pytest.raises(InvalidPortError):
-            PathLabeling(4, (1, 3))
+        for n, entries in [(4, (1, 3)), (3, (1.0,)), (3, (True,))]:
+            with pytest.raises(InvalidPortError):
+                PathLabeling(n, entries)
 
     def test_too_small(self):
         with pytest.raises(InvalidSizeError):
@@ -121,8 +122,9 @@ class TestBuildCliquePendant:
         assert g.port_map[0] == (1, 4, 2, 3)
 
     def test_port_out_of_range(self):
-        with pytest.raises(InvalidPortError):
-            build_clique_pendant(3, 4)
+        for p in (4, True, 2.0):
+            with pytest.raises(InvalidPortError):
+                build_clique_pendant(3, p)
 
     def test_degree_too_small(self):
         with pytest.raises(InvalidSizeError):

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portwalk.agents import CyclicAgent, PortFunction, RotorRouter, ScriptedPortFunction
+from portwalk.agents import (
+    CyclicAgent,
+    PortFunction,
+    RotorRouter,
+    ScriptedPortFunction,
+    whiteboard_rotor_router,
+)
 from portwalk.errors import (
     AgentViolationError,
     HorizonExceededError,
@@ -311,7 +317,8 @@ class TestTraceInvariants:
 
 
 class CallBased(PortFunction):
-    """Forwards outport and gives no cycle, so run() takes the call-based loop."""
+    """Forwards outport and gives no cycle, so run() reads it through a lazy
+    port sequence."""
 
     def __init__(self, agent):
         self.agent = agent
@@ -389,6 +396,48 @@ class TestCompiledLoop:
                 return bad(d)
         with pytest.raises(AgentViolationError):
             run(path3(), BadCycle(), 2, ("steps", 2))
+
+
+class Counting(CallBased):
+    """CallBased that records every (d, i) it is asked."""
+
+    def __init__(self, agent):
+        super().__init__(agent)
+        self.calls = []
+
+    def outport(self, d, i):
+        self.calls.append((d, i))
+        return self.agent.outport(d, i)
+
+
+class TestLazyPorts:
+    """An agent with no cycle at a degree is read through outport lazily."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("agent", BATTERY + [whiteboard_rotor_router()],
+                             ids=lambda a: a.name)
+    def test_outport_asked_once_per_index(self, agent, seed):
+        g = random_connected_graph(40, 80, seed)
+        counting = Counting(agent)
+        t = run(g, counting, 0, "covered", cap=3000)
+        # degree d is asked exactly 1..k, k the most exits of one node of degree d
+        most: dict[int, int] = {}
+        for v in range(g.n):
+            d = g.degree(v)
+            most[d] = max(most.get(d, 0), len(outports_taken(t, v)))
+        want = [(d, i) for d in sorted(most) for i in range(1, most[d] + 1)]
+        assert sorted(counting.calls) == want
+        assert len(counting.calls) <= t.steps
+
+    @pytest.mark.parametrize("lazy, bad", [(1, 2), (2, 1)])
+    def test_bad_cycle_beside_none_rejected_before_first_step(self, lazy, bad):
+        class Mixed(Counting):
+            def cycle(self, d):
+                return None if d == lazy else (d + 1,)
+        agent = Mixed(ROTOR)
+        with pytest.raises(AgentViolationError, match=f"port {bad + 1} at degree {bad}"):
+            run(path3(), agent, 2, ("steps", 2))
+        assert agent.calls == []
 
 
 class TestExport:
