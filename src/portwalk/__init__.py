@@ -15,6 +15,7 @@ from .agents import (
     derive_port_function,
     load_agent_script,
     memory_lower_bound_check,
+    port_sequence,
     whiteboard_rotor_router,
 )
 from .adversary import (

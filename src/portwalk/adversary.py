@@ -32,9 +32,8 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .agents import PortFunction
+from .agents import PortFunction, port_sequence
 from .errors import (
-    AgentViolationError,
     HorizonExceededError,
     InvalidSizeError,
     InvalidVertexError,
@@ -42,6 +41,7 @@ from .errors import (
 from .graphs import (
     PathLabeling,
     PortLabeledGraph,
+    _size,
     build_clique_pendant,
     build_path,
     replace_pendant_with_path,
@@ -87,14 +87,9 @@ def majority_element(seq: Sequence[int], k: int) -> int:
 
 
 def _exits(agent: PortFunction, d: int, k: int) -> list[int]:
-    """port_d(1..k), each checked to be an int port in 1..d."""
-    out = []
-    for i in range(1, k + 1):
-        p = agent.outport(d, i)
-        if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
-            raise AgentViolationError(f"degree-{d} exit {i} is {p!r}")
-        out.append(p)
-    return out
+    """port_d(1..k), read from the agent's checked port sequence."""
+    seq = port_sequence(agent, d)
+    return [seq[i % len(seq)] for i in range(k)]
 
 
 def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
@@ -105,7 +100,7 @@ def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     v_1. Needs the degree-2 sequence up to index 2(n-2)-1; scripted agents
     that cannot answer that far raise HorizonExceededError.
     """
-    if n < 2:
+    if _size(n, "n") < 2:
         raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")
     prefix = _exits(agent, 2, 2 * (n - 2) - 1)
     toward_far = tuple(majority_element(prefix, i - 1) for i in range(2, n))
@@ -174,7 +169,7 @@ def rare_port(agent: PortFunction, d: int) -> int:
     Existence is guaranteed by counting: d(d-1) slots cannot give all d
     ports d or more occurrences.
     """
-    if d < 2:
+    if _size(d, "d") < 2:
         raise InvalidSizeError(f"need degree at least 2, got {d}")
     counts = [0] * (d + 1)
     for p in _exits(agent, d, d * (d - 1)):
@@ -215,9 +210,9 @@ def build_cubic_instance(agent: PortFunction, n: int,
 
     HorizonExceededError from any stage is re-raised naming the stage.
     """
-    d = n // 3
-    if n < 6:
+    if _size(n, "n") < 6:
         raise InvalidSizeError(f"need n >= 6 for a clique of degree >= 2, got {n}")
+    d = n // 3
     if not 0 <= start < d:
         raise InvalidVertexError(f"start must be a clique node 0..{d - 1}, got {start}")
 

@@ -15,17 +15,22 @@ regardless of its script.
 
 An agent that is periodic at degree d says so through cycle(d): a tuple
 (port_d(1), ..., port_d(P)) with port_d(i + P) = port_d(i) for every
-i >= 1, or None when it gives no such promise. The engine reads a
-periodic agent from its checked cycles and never calls its outport; at a
-degree whose cycle is None it asks outport(d, i) once per index a walk
-reaches. The rotor-router, cyclic patterns and "cycle" scripts are
-periodic at every degree they answer; "fail" scripts, whiteboard agents
-and the base class return None.
+i >= 1, or None when it gives no such promise. The rotor-router, cyclic
+patterns and "cycle" scripts are periodic at every degree they answer;
+"fail" scripts, whiteboard agents and the base class return None.
+
+Every reader of port_d (the walk engine, both constructions and the
+brute force) goes through port_sequence(agent, d): the checked cycle when
+there is one, so a periodic agent's outport is never called, or else a
+sequence that asks outport(d, i) once per index, the first time it is
+read. A port is legal at degree d when it is an int, not a bool, in
+1..d; _port is the one check, and derive_port_function uses it too.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -43,6 +48,52 @@ class PortFunction:
     def cycle(self, d: int) -> tuple[int, ...] | None:
         """port_d(1..P) for a period P of port_d, or None if not periodic."""
         return None
+
+
+def _port(p, d: int) -> int:
+    """p itself if it is a port of a degree-d node (an int, not a bool, in 1..d).
+
+    Raises AgentViolationError otherwise.
+    """
+    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
+        raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
+    return p
+
+
+class _Ports:
+    """port_d(1), port_d(2), ... of an agent with no cycle at degree d.
+
+    Entry i is _port(outport(d, i + 1), d), asked when first read. Its
+    length is a period no visit index reaches, so it reads like a cycle.
+    """
+
+    def __init__(self, outport, d: int):
+        self.outport, self.d, self.read = outport, d, []
+
+    def __len__(self) -> int:
+        return sys.maxsize
+
+    def __getitem__(self, i: int) -> int:
+        read = self.read
+        while len(read) <= i:
+            read.append(_port(self.outport(self.d, len(read) + 1), self.d))
+        return read[i]
+
+
+def port_sequence(agent: PortFunction, d: int) -> Sequence[int]:
+    """port_d as a sequence of period len(seq): port_d(i) = seq[(i - 1) % len(seq)].
+
+    The agent's cycle(d), every entry checked by _port, or a _Ports when
+    cycle(d) is None.
+    """
+    cyc = agent.cycle(d)
+    if cyc is None:
+        return _Ports(agent.outport, d)
+    if not isinstance(cyc, tuple) or not cyc:
+        raise AgentViolationError(f"agent cycle at degree {d} is {cyc!r}")
+    for p in cyc:
+        _port(p, d)
+    return cyc
 
 
 class RotorRouter(PortFunction):
@@ -184,11 +235,17 @@ class WhiteboardAgent(PortFunction):
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def budget(self, d: int) -> int | None:
-        if self.memory_bits is None:
-            return None
-        if callable(self.memory_bits):
-            return self.memory_bits(d)
-        return self.memory_bits
+        """Bits a degree-d node may use, None for unlimited.
+
+        Raises AgentViolationError unless that is None or a non-negative
+        int (a bool is not one).
+        """
+        bits = self.memory_bits(d) if callable(self.memory_bits) else self.memory_bits
+        if bits is not None and (isinstance(bits, bool) or not isinstance(bits, int)
+                                 or bits < 0):
+            raise AgentViolationError(f"memory budget {bits!r} at degree {d} "
+                                      "is not a non-negative int")
+        return bits
 
     def outport(self, d: int, i: int) -> int:
         got = self._cache.get(d, [])
@@ -221,9 +278,7 @@ def derive_port_function(agent: WhiteboardAgent, d: int, k: int) -> list[int]:
         if len(out) == k:
             return out
         state, port = agent.transition(state, d)
-        if isinstance(port, bool) or not isinstance(port, int) or not 1 <= port <= d:
-            raise AgentViolationError(f"emitted port {port!r} at degree {d}")
-        out.append(port)
+        out.append(_port(port, d))
 
 
 def whiteboard_rotor_router() -> WhiteboardAgent:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .agents import CyclicAgent, PortFunction, RotorRouter
+from .agents import CyclicAgent, PortFunction, RotorRouter, port_sequence
 from .adversary import (
     CubicBoundReport,
     PathBoundReport,
@@ -20,8 +20,8 @@ from .adversary import (
     verify_path_bound,
 )
 from .errors import InvalidLimitError, InvalidSizeError
-from .graphs import PathLabeling, diameter, random_connected_graph
-from .simulate import _cap, _compile, run
+from .graphs import PathLabeling, _size, diameter, random_connected_graph
+from .simulate import _cap, run
 
 
 def battery() -> dict[str, PortFunction]:
@@ -122,15 +122,15 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     An agent without a cycle is asked outport(d, i) once per index that
     some walk reaches.
     """
-    if n < 2:
+    if _size(n, "n") < 2:
         raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")
     if n > 14:
         raise InvalidSizeError(f"n={n} means 2^{n - 2} labelings; use n <= 14")
     cap = _cap(cap, n)
-    # port_d(i) is ports1[(i - 1) % period1] at d = 1 and likewise at d = 2,
-    # on run()'s port sequences. (n = 2 has no degree-2 node.)
-    ports = _compile(agent, [1, 2][:n - 1])
-    ports1, ports2 = ports[0], ports[-1]
+    # port_d(i) is ports1[(i - 1) % period1] at d = 1 and likewise at d = 2.
+    # (n = 2 has no degree-2 node.)
+    ports1 = port_sequence(agent, 1)
+    ports2 = port_sequence(agent, 2) if n > 2 else ports1
     period1, period2 = len(ports1), len(ports2)
 
     # Node v_k has id k - 1. label[v] is toward_far of internal node v;

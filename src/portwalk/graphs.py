@@ -61,6 +61,13 @@ class PortLabeledGraph:
             raise InvalidVertexError(f"{v} is not a neighbor of {u}") from None
 
 
+def _size(value, what: str) -> int:
+    """value itself if it is an int (bool is not), else InvalidSizeError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidSizeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _as_graph(n: int, rows: Iterable[Sequence[int]]) -> PortLabeledGraph:
     return PortLabeledGraph(n, tuple(tuple(row) for row in rows))
 
@@ -79,7 +86,7 @@ class PathLabeling:
     toward_far: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
+        if _size(self.n, "n") < 2:
             raise InvalidSizeError(f"path needs at least 2 nodes, got {self.n}")
         object.__setattr__(self, "toward_far", tuple(self.toward_far))
         if len(self.toward_far) != self.n - 2:
@@ -120,7 +127,7 @@ def build_clique_pendant(d: int, p: int) -> PortLabeledGraph:
     its pendant is p; the remaining ports 1..d minus p go to the clique
     neighbors in increasing id order. Pendants have a single port 1.
     """
-    if d < 2:
+    if _size(d, "d") < 2:
         raise InvalidSizeError(f"clique degree must be at least 2, got {d}")
     if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= d:
         raise InvalidPortError(f"pendant port {p!r} is not an int in 1..{d}")
@@ -186,10 +193,10 @@ def random_connected_graph(n: int, m: int, seed: int) -> PortLabeledGraph:
     neighbor ordering (its port assignment) is shuffled. Deterministic
     for a fixed (n, m, seed).
     """
-    if n < 1:
+    if _size(n, "n") < 1:
         raise InvalidSizeError(f"need at least 1 node, got {n}")
     max_m = n * (n - 1) // 2
-    if not n - 1 <= m <= max_m:
+    if not n - 1 <= _size(m, "m") <= max_m:
         raise InvalidSizeError(f"m={m} infeasible for n={n} (need {n - 1}..{max_m})")
     rng = Random(seed)
     order = list(range(n))

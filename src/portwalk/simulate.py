@@ -15,26 +15,22 @@ All runs are additionally bounded by a step cap; a run that hits the cap
 without firing its stop condition is flagged not-stopped rather than
 failed, since several bound checks are conditional on the walk finishing.
 
-run() reads every agent through one port sequence per degree: the
-agent's checked cycle(d) when it is periodic there, or else port_d(1),
-port_d(2), ... read from outport once per index, the first time a walk
-needs it. Each node gets a successor row over its degree's sequence:
-row v lists the node reached from v on each visit index, so a step costs
-two lookups, and a periodic agent's step makes no call into the agent. A
-node's row is built on its first visit (the start node's before the first
-step), so a short walk on a large graph builds only the rows it uses;
-each degree's cycle is still checked before the first step.
+run() reads every agent through agents.port_sequence, once per degree of
+the graph, before the first step. Each node gets a successor row over its
+degree's sequence: row v lists the node reached from v on each visit
+index, so a step costs two lookups, and a periodic agent's step makes no
+call into the agent. A node's row is built on its first visit (the start
+node's before the first step), so a short walk on a large graph builds
+only the rows it uses.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .agents import PortFunction
+from .agents import PortFunction, port_sequence
 from .errors import (
-    AgentViolationError,
     InvalidArcError,
     InvalidLimitError,
     InvalidVertexError,
@@ -87,76 +83,26 @@ def _cap(cap, n: int) -> int:
     return cap
 
 
-def _port(p, d: int) -> int:
-    """p itself if it is a port of a degree-d node (an int, not a bool, in 1..d).
-
-    Raises AgentViolationError otherwise.
-    """
-    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
-        raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
-    return p
-
-
-class _Ports:
-    """port_d(1), port_d(2), ... of an agent with no cycle at degree d.
-
-    Entry i is _port(outport(d, i + 1), d), asked when first read. Its
-    length is a period no visit index reaches, so it reads like a cycle.
-    """
-
-    def __init__(self, outport, d: int):
-        self.outport, self.d, self.read = outport, d, []
-
-    def __len__(self) -> int:
-        return sys.maxsize
-
-    def __getitem__(self, i: int) -> int:
-        read = self.read
-        while len(read) <= i:
-            read.append(_port(self.outport(self.d, len(read) + 1), self.d))
-        return read[i]
-
-
 class _Row:
-    """Successor row of one node over a _Ports sequence, read lazily."""
+    """Successor row of one node over a port sequence that is not a cycle."""
 
-    def __init__(self, row: tuple[int, ...], ports: _Ports):
+    def __init__(self, row: tuple[int, ...], ports: Sequence[int]):
         self.row, self.ports = row, ports
 
     def __getitem__(self, i: int) -> int:
         return self.row[self.ports[i] - 1]
 
 
-def _compile(agent: PortFunction, degs: list[int]) -> list[Sequence[int]]:
-    """Each node's port sequence: its degree's cycle(d), or else a _Ports.
-
-    Every cycle entry is checked once here: an int that is not a bool, in
-    1..d. Degree 0 (the one-node graph) never takes a step and gets ().
-    """
-    by_degree: dict[int, Sequence[int]] = {0: ()}
-    for d in set(degs) - {0}:
-        cyc = agent.cycle(d)
-        if cyc is None:
-            by_degree[d] = _Ports(agent.outport, d)
-            continue
-        if not isinstance(cyc, tuple) or not cyc:
-            raise AgentViolationError(f"agent cycle at degree {d} is {cyc!r}")
-        for p in cyc:
-            _port(p, d)
-        by_degree[d] = cyc
-    return [by_degree[d] for d in degs]
-
-
 def _successors(row: tuple[int, ...], ports: Sequence[int]) -> Sequence[int]:
     """The node reached through row's ports on each visit index of one period.
 
-    A list for a cycle, a _Row for a _Ports. A function rather than a
-    comprehension inside run(), where it would turn cur into a closure
+    A list for a cycle (a tuple), a _Row otherwise. A function rather than
+    a comprehension inside run(), where it would turn cur into a closure
     cell read on every step.
     """
-    if isinstance(ports, _Ports):
-        return _Row(row, ports)
-    return [row[q - 1] for q in ports]
+    if isinstance(ports, tuple):
+        return [row[q - 1] for q in ports]
+    return _Row(row, ports)
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -170,12 +116,10 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     counts over a partial window) then become unavailable. A start node
     of degree 0 (the one-node graph) takes no step.
 
-    A walk that takes a step first fetches agent.cycle(d) once per degree
-    of the graph and checks every entry (an int, not a bool, in 1..d),
-    raising AgentViolationError otherwise. At a degree whose cycle is
-    None it asks agent.outport(d, i) once per index i, on the first
-    visit with that index to a node of that degree, and checks the port
-    the same way.
+    A walk that takes a step first reads port_sequence(agent, d) once per
+    degree of the graph, so a bad cycle raises AgentViolationError before
+    the first step. At a degree whose cycle is None, outport(d, i) is
+    asked on the first visit with index i to a node of that degree.
     """
     n = g.n
     if not 0 <= start < n:
@@ -220,7 +164,8 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     # mod P] at index c % P - 1 (-1 being the last entry).
     steps = 0
     if limit:
-        ports = _compile(agent, degs)
+        by_degree = {d: port_sequence(agent, d) for d in set(degs) - {0}}
+        ports = [by_degree.get(d, ()) for d in degs]  # degree 0 takes no step
         lens = [len(seq) for seq in ports]
         nexts: list[Sequence[int] | None] = [None] * n
         nexts[cur] = _successors(port_map[cur], ports[cur])

@@ -152,7 +152,7 @@ class TestRarePort:
     def test_bad_exit_rejected(self, port):
         agent = PortFunction()
         agent.outport = lambda d, i: port
-        with pytest.raises(AgentViolationError, match=f"degree-3 exit 1 is {port!r}"):
+        with pytest.raises(AgentViolationError, match=f"agent returned port {port!r} at degree 3"):
             rare_port(agent, 3)
 
 

@@ -4,14 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from portwalk.adversary import rare_port, worst_case_path_labeling
 from portwalk.agents import (
     CyclicAgent,
+    PortFunction,
     RotorRouter,
     ScriptedPortFunction,
     WhiteboardAgent,
     derive_port_function,
     load_agent_script,
     memory_lower_bound_check,
+    port_sequence,
     whiteboard_rotor_router,
 )
 from portwalk.errors import (
@@ -19,7 +22,8 @@ from portwalk.errors import (
     HorizonExceededError,
     InvalidPortError,
 )
-from portwalk.graphs import random_connected_graph
+from portwalk.experiments import battery, brute_force_path_worst_case
+from portwalk.graphs import PathLabeling, build_path, random_connected_graph
 from portwalk.simulate import run
 
 
@@ -144,6 +148,15 @@ class TestDerivePortFunction:
         with pytest.raises(AgentViolationError):
             derive_port_function(a, 2, 5)
 
+    @pytest.mark.parametrize("bits", [-1, lambda d: -1, 1.5, True],
+                             ids=["-1", "callable -1", "1.5", "True"])
+    def test_bad_memory_budget(self, bits):
+        a = WhiteboardAgent(transition=lambda s, d: (s, 1), memory_bits=bits)
+        with pytest.raises(AgentViolationError, match="memory budget .* at degree 1 "):
+            run(build_path(PathLabeling(3, (1,))), a, 0, "covered")
+        with pytest.raises(AgentViolationError, match="at degree 4 "):
+            derive_port_function(a, 4, 1)
+
     def test_negative_state_rejected(self):
         a = WhiteboardAgent(transition=lambda s, d: (s - 1, 1))
         with pytest.raises(AgentViolationError):
@@ -248,3 +261,94 @@ class TestMemoryLowerBound:
     @given(st.integers(0, 12), st.integers(1, 2048))
     def test_agrees_with_powers(self, bits, d):
         assert memory_lower_bound_check(bits, d) == (2 ** bits >= d)
+
+
+def outport_only(outport):
+    """An agent with no cycle whose outport(d, i) is the given function."""
+    agent = PortFunction()
+    agent.outport = outport
+    return agent
+
+
+class CycleOnly(PortFunction):
+    """The given cycle at every degree; its outport must never be asked."""
+
+    def __init__(self, cycle):
+        self.cycle = cycle
+
+    def outport(self, d, i):
+        raise AssertionError(f"outport({d}, {i}) asked of a periodic agent")
+
+
+class Counting(PortFunction):
+    """Forwards outport, gives no cycle, and records every (d, i) it is asked."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.calls = []
+
+    def outport(self, d, i):
+        self.calls.append((d, i))
+        return self.agent.outport(d, i)
+
+
+# Each reader of port_d, with the degree whose port it reads first.
+READERS = {
+    "run": (1, lambda a: run(build_path(PathLabeling(3, (1,))), a, 0, "covered")),
+    "brute-force": (1, lambda a: brute_force_path_worst_case(a, 4)),
+    "path-labeling": (2, lambda a: worst_case_path_labeling(a, 4)),
+    "rare-port": (3, lambda a: rare_port(a, 3)),
+}
+BAD_PORTS = {"1.0": lambda d: 1.0, "None": lambda d: None, "0": lambda d: 0,
+             "True": lambda d: True, "d+1": lambda d: d + 1}
+
+
+class TestOneReader:
+    """Every reader checks ports through port_sequence, with one message."""
+
+    @pytest.mark.parametrize("bad", BAD_PORTS.values(), ids=BAD_PORTS.keys())
+    @pytest.mark.parametrize("form", ["outport", "cycle"])
+    @pytest.mark.parametrize("reader", READERS, ids=READERS.keys())
+    def test_bad_port_message(self, reader, form, bad):
+        d, read = READERS[reader]
+        if form == "outport":
+            agent = outport_only(lambda d_, i: bad(d_))
+        else:
+            agent = CycleOnly(lambda d_: (bad(d_),))
+        with pytest.raises(AgentViolationError) as e:
+            read(agent)
+        assert str(e.value) == f"agent returned port {bad(d)!r} at degree {d}"
+
+    @pytest.mark.parametrize("bad", BAD_PORTS.values(), ids=BAD_PORTS.keys())
+    def test_whiteboard_bad_port_message(self, bad):
+        a = WhiteboardAgent(transition=lambda s, d: (s, bad(d)))
+        with pytest.raises(AgentViolationError) as e:
+            derive_port_function(a, 3, 1)
+        assert str(e.value) == f"agent returned port {bad(3)!r} at degree 3"
+
+    @pytest.mark.parametrize("agent", battery().values(), ids=battery().keys())
+    def test_constructions_ask_each_index_once(self, agent):
+        for d in range(2, 8):
+            counting = Counting(agent)
+            rare_port(counting, d)
+            assert counting.calls == [(d, i) for i in range(1, d * (d - 1) + 1)]
+        for n in range(2, 12):
+            counting = Counting(agent)
+            worst_case_path_labeling(counting, n)
+            assert counting.calls == [(2, i) for i in range(1, 2 * (n - 2))]
+
+    @pytest.mark.parametrize("agent", battery().values(), ids=battery().keys())
+    def test_constructions_read_the_cycle(self, agent):
+        periodic = CycleOnly(agent.cycle)
+        for d in range(2, 8):
+            assert rare_port(periodic, d) == rare_port(Counting(agent), d)
+        for n in range(2, 12):
+            assert (worst_case_path_labeling(periodic, n)
+                    == worst_case_path_labeling(Counting(agent), n))
+
+    def test_sequence_forms(self):
+        assert port_sequence(ROTOR, 3) == (1, 2, 3)
+        lazy = port_sequence(whiteboard_rotor_router(), 3)
+        assert [lazy[i % len(lazy)] for i in range(7)] == [1, 2, 3, 1, 2, 3, 1]
+        with pytest.raises(AgentViolationError, match="agent cycle at degree 2 is"):
+            port_sequence(CycleOnly(lambda d: [1, 2]), 2)

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portwalk.adversary import verify_path_bound
+from portwalk.adversary import (
+    build_cubic_instance,
+    rare_port,
+    verify_path_bound,
+    worst_case_path_labeling,
+)
 from portwalk.agents import (
     PortFunction,
     RotorRouter,
@@ -30,7 +35,14 @@ from portwalk.experiments import (
     path_bound_sweep,
     rotor_upper_bound_sweep,
 )
-from portwalk.graphs import PathLabeling, PortLabeledGraph, build_path, diameter
+from portwalk.graphs import (
+    PathLabeling,
+    PortLabeledGraph,
+    build_clique_pendant,
+    build_path,
+    diameter,
+    random_connected_graph,
+)
 from portwalk.simulate import outports_taken, run
 
 ROTOR = RotorRouter()
@@ -237,6 +249,26 @@ class TestBruteForceReadsPortsOnce:
         with pytest.raises(AgentViolationError, match=f"port {bad + 1} at degree {bad}"):
             brute_force_path_worst_case(agent, 5)
         assert agent.calls == []
+
+
+SIZED_CALLS = {
+    "build_path": lambda: build_path(PathLabeling(3.0, (1,))),
+    "path_labeling_true": lambda: PathLabeling(True, ()),
+    "build_clique_pendant": lambda: build_clique_pendant(2.0, 1),
+    "random_graph_n": lambda: random_connected_graph(3.0, 2, 0),
+    "random_graph_m": lambda: random_connected_graph(3, 2.0, 0),
+    "random_graph_true": lambda: random_connected_graph(True, 0, 0),
+    "worst_case_path_labeling": lambda: worst_case_path_labeling(ROTOR, 4.0),
+    "rare_port": lambda: rare_port(ROTOR, 2.0),
+    "build_cubic_instance": lambda: build_cubic_instance(ROTOR, 6.0),
+    "brute_force": lambda: brute_force_path_worst_case(ROTOR, 4.0),
+}
+
+
+@pytest.mark.parametrize("call", SIZED_CALLS.values(), ids=SIZED_CALLS.keys())
+def test_non_integer_size_rejected(call):
+    with pytest.raises(InvalidSizeError, match="must be an integer, got"):
+        call()
 
 
 class TestPathSweep:
