@@ -13,41 +13,45 @@ replaying that transition against a virtual degree-d node.
 At degree 1 there is only one legal port, so every agent answers 1 there
 regardless of its script.
 
-An agent that is periodic at degree d says so through cycle(d): a tuple
-(port_d(1), ..., port_d(P)) with port_d(i + P) = port_d(i) for every
-i >= 1, or None when it gives no such promise. The rotor-router, cyclic
-patterns and "cycle" scripts are periodic at every degree they answer;
-"fail" scripts, whiteboard agents and the base class return None.
+An agent states port_d once, through its one hook ports(d): a non-empty
+tuple t is a cycle, port_d(i) = t[(i - 1) % len(t)]; an iterator yields
+port_d(1), port_d(2), .... The rotor-router, cyclic patterns and "cycle"
+scripts return cycles; "fail" scripts and whiteboard agents return
+iterators.
 
-Every reader of port_d (the walk engine, both constructions and the
-brute force) goes through port_sequence(agent, d): the checked cycle when
-there is one, so a periodic agent's outport is never called, or else a
-sequence that asks outport(d, i) once per index, the first time it is
-read. A port is legal at degree d when it is an int, not a bool, in
-1..d; _port is the one check, and derive_port_function uses it too.
+Every reader of port_d (the walk engine, both constructions, the brute
+force and outport(d, i)) goes through port_sequence(agent, d): the checked
+cycle, or a sequence that advances the iterator once per index, the
+first time it is read. A port is legal at degree d when it is an int, not
+a bool, in 1..d; _port is the one check.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Mapping, Sequence
 
 from .errors import AgentViolationError, HorizonExceededError, InvalidPortError
 
 
 class PortFunction:
-    """Base interface: outport(d, i), the port taken on visit i at degree d."""
+    """Base interface: ports(d) states port_d, outport(d, i) reads port_d(i)."""
 
     name = "agent"
 
-    def outport(self, d: int, i: int) -> int:
+    def ports(self, d: int) -> tuple[int, ...] | Iterator[int]:
+        """port_d as a cycle (a non-empty tuple) or an iterator of port_d(1), ...."""
         raise NotImplementedError
 
-    def cycle(self, d: int) -> tuple[int, ...] | None:
-        """port_d(1..P) for a period P of port_d, or None if not periodic."""
-        return None
+    def outport(self, d: int, i: int) -> int:
+        if i < 1:
+            raise ValueError(f"visit index must be at least 1, got {i}")
+        seq = port_sequence(self, d)
+        return seq[(i - 1) % len(seq)]
 
 
 def _port(p, d: int) -> int:
@@ -61,14 +65,16 @@ def _port(p, d: int) -> int:
 
 
 class _Ports:
-    """port_d(1), port_d(2), ... of an agent with no cycle at degree d.
+    """port_d(1), port_d(2), ... of an agent whose ports(d) is an iterator.
 
-    Entry i is _port(outport(d, i + 1), d), asked when first read. Its
+    Entry i is _port(next(it, None), d), drawn when first read. The first
+    error (the iterator's own or _port's) is kept and raised again by every
+    read at or past its index, as the iterator is spent after it. Its
     length is a period no visit index reaches, so it reads like a cycle.
     """
 
-    def __init__(self, outport, d: int):
-        self.outport, self.d, self.read = outport, d, []
+    def __init__(self, it: Iterator[int], d: int):
+        self.it, self.d, self.read, self.error = it, d, [], None
 
     def __len__(self) -> int:
         return sys.maxsize
@@ -76,24 +82,30 @@ class _Ports:
     def __getitem__(self, i: int) -> int:
         read = self.read
         while len(read) <= i:
-            read.append(_port(self.outport(self.d, len(read) + 1), self.d))
+            if self.error is not None:
+                raise self.error
+            try:
+                read.append(_port(next(self.it, None), self.d))
+            except Exception as e:
+                self.error = e
+                raise
         return read[i]
 
 
 def port_sequence(agent: PortFunction, d: int) -> Sequence[int]:
     """port_d as a sequence of period len(seq): port_d(i) = seq[(i - 1) % len(seq)].
 
-    The agent's cycle(d), every entry checked by _port, or a _Ports when
-    cycle(d) is None.
+    The agent's ports(d) when that is a cycle, every entry checked by
+    _port, or a _Ports over it when it is an iterator.
     """
-    cyc = agent.cycle(d)
-    if cyc is None:
-        return _Ports(agent.outport, d)
-    if not isinstance(cyc, tuple) or not cyc:
-        raise AgentViolationError(f"agent cycle at degree {d} is {cyc!r}")
-    for p in cyc:
+    got = agent.ports(d)
+    if isinstance(got, Iterator):
+        return _Ports(got, d)
+    if not isinstance(got, tuple) or not got:
+        raise AgentViolationError(f"agent cycle at degree {d} is {got!r}")
+    for p in got:
         _port(p, d)
-    return cyc
+    return got
 
 
 class RotorRouter(PortFunction):
@@ -101,10 +113,7 @@ class RotorRouter(PortFunction):
 
     name = "rotor-router"
 
-    def outport(self, d: int, i: int) -> int:
-        return (i - 1) % d + 1
-
-    def cycle(self, d: int) -> tuple[int, ...]:
+    def ports(self, d: int) -> tuple[int, ...]:
         return tuple(range(1, d + 1))
 
 
@@ -124,10 +133,7 @@ class CyclicAgent(PortFunction):
         self.pattern = pattern
         self.name = name or "cycle-" + "".join(str(e) for e in pattern)
 
-    def outport(self, d: int, i: int) -> int:
-        return (self.pattern[(i - 1) % len(self.pattern)] - 1) % d + 1
-
-    def cycle(self, d: int) -> tuple[int, ...]:
+    def ports(self, d: int) -> tuple[int, ...]:
         return tuple((e - 1) % d + 1 for e in self.pattern)
 
 
@@ -156,32 +162,23 @@ class ScriptedPortFunction(PortFunction):
         self.extension = extension
         self.name = name
 
-    def outport(self, d: int, i: int) -> int:
+    def ports(self, d: int) -> tuple[int, ...] | Iterator[int]:
+        """The table under "cycle", (1,) at degree 1 without one, otherwise
+        an iterator over it that raises HorizonExceededError where it ends."""
         table = self.tables.get(d)
-        if not table:
-            if d == 1:
-                return 1
-            raise HorizonExceededError(f"no table for degree {d}")
-        if i <= len(table):
-            return table[i - 1]
-        if self.extension == "cycle":
-            return table[(i - 1) % len(table)]
-        raise HorizonExceededError(
-            f"degree-{d} table has {len(table)} entries, visit {i} requested"
-        )
-
-    def cycle(self, d: int) -> tuple[int, ...] | None:
-        """The table itself under "cycle" (degree 1 without one: (1,)).
-
-        None under "fail", and at a degree >= 2 with no table, where
-        outport raises.
-        """
-        if self.extension != "cycle":
-            return None
-        table = self.tables.get(d)
-        if table:
+        if not table and d == 1:
+            return (1,)
+        if table and self.extension == "cycle":
             return table
-        return (1,) if d == 1 else None
+
+        def until_horizon():
+            if not table:
+                raise HorizonExceededError(f"no table for degree {d}")
+            yield from table
+            raise HorizonExceededError(
+                f"degree-{d} table has {len(table)} entries, visit {len(table) + 1} requested"
+            )
+        return until_horizon()
 
 
 def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction:
@@ -225,14 +222,12 @@ class WhiteboardAgent(PortFunction):
     non-negative integers; memory_bits bounds how many bits a degree-d
     node may use (an int for a uniform budget, a callable for per-degree
     budgets, None for unlimited). Every node starts in initial_state.
-    outport(d, i) reads port_d(i) from derive_port_function, cached per degree.
     """
 
     transition: Callable[[int, int], tuple[int, int]]
     initial_state: int = 0
     memory_bits: int | Callable[[int], int] | None = None
     name: str = "whiteboard"
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def budget(self, d: int) -> int | None:
         """Bits a degree-d node may use, None for unlimited.
@@ -247,38 +242,35 @@ class WhiteboardAgent(PortFunction):
                                       "is not a non-negative int")
         return bits
 
-    def outport(self, d: int, i: int) -> int:
-        got = self._cache.get(d, [])
-        if i > len(got):
-            got = self._cache[d] = derive_port_function(self, d, max(i, 2 * len(got)))
-        return got[i - 1]
+    def ports(self, d: int) -> Iterator[int]:
+        """The outports taken at a virtual degree-d node, one transition each.
+
+        Replays the transition from the initial state. A port is yielded
+        once _port and the state it leaves behind are checked (a node state
+        is a non-negative int, not a bool, within the budget), so reading
+        port_d(k) runs exactly k transitions. Raises AgentViolationError.
+        """
+        budget = self.budget(d)
+        limit = None if budget is None else 1 << budget
+        state, port = self.initial_state, None
+        while True:  # check the initial state, then every state a transition returns
+            if isinstance(state, bool) or not isinstance(state, int) or state < 0:
+                raise AgentViolationError(f"node state {state!r} is not a non-negative int")
+            if limit is not None and state >= limit:
+                raise AgentViolationError(
+                    f"node state {state} needs more than {budget} bits at degree {d}"
+                )
+            if port is not None:
+                yield port
+            state, port = self.transition(state, d)
+            _port(port, d)
 
 
 def derive_port_function(agent: WhiteboardAgent, d: int, k: int) -> list[int]:
-    """First k outports the agent takes at a virtual degree-d node.
-
-    Replays the transition k times from the initial node state; the
-    resulting list is exactly port_d(1..k). Raises AgentViolationError if
-    the transition emits a port outside 1..d or leaves the declared
-    state budget.
-    """
+    """First k outports the agent takes at a virtual degree-d node: port_d(1..k)."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    budget = agent.budget(d)
-    limit = None if budget is None else 1 << budget
-    state = agent.initial_state
-    out: list[int] = []
-    while True:  # check the initial state, then every state a transition returns
-        if not isinstance(state, int) or state < 0:
-            raise AgentViolationError(f"node state {state!r} is not a non-negative int")
-        if limit is not None and state >= limit:
-            raise AgentViolationError(
-                f"node state {state} needs more than {budget} bits at degree {d}"
-            )
-        if len(out) == k:
-            return out
-        state, port = agent.transition(state, d)
-        out.append(_port(port, d))
+    return list(islice(agent.ports(d), k))
 
 
 def whiteboard_rotor_router() -> WhiteboardAgent:
@@ -292,6 +284,6 @@ def whiteboard_rotor_router() -> WhiteboardAgent:
 
 def memory_lower_bound_check(memory_bits: int, d: int) -> bool:
     """Whether memory_bits bits can distinguish the d inputs a degree-d node needs."""
-    if d < 1 or memory_bits < 0:
-        raise ValueError(f"need d >= 1 and bits >= 0, got ({memory_bits}, {d})")
+    if not (type(memory_bits) is int and type(d) is int and d >= 1 and memory_bits >= 0):
+        raise ValueError(f"need ints d >= 1 and bits >= 0, got ({memory_bits!r}, {d!r})")
     return (1 << memory_bits) >= d

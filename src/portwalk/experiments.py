@@ -119,8 +119,8 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     keeps the lexicographically smallest toward_far (the first in the
     order of itertools.product((1, 2), ...)). If some walks raise, the
     error raised is that of the first such labeling in the same order.
-    An agent without a cycle is asked outport(d, i) once per index that
-    some walk reaches.
+    An agent whose ports(d) is an iterator is advanced once per index
+    that some walk reaches.
     """
     if _size(n, "n") < 2:
         raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")

@@ -290,8 +290,8 @@ def validate(g: PortLabeledGraph) -> list[str]:
     for v, row in enumerate(g.port_map):
         seen: set[int] = set()
         for p, w in enumerate(row, start=1):
-            if not isinstance(w, int) or not 0 <= w < g.n:
-                out.append(f"node {v} port {p}: neighbor {w} out of range")
+            if isinstance(w, bool) or not isinstance(w, int) or not 0 <= w < g.n:
+                out.append(f"node {v} port {p}: neighbor {w!r} out of range")
                 continue
             if w == v:
                 out.append(f"node {v} port {p}: self-loop")

@@ -118,8 +118,8 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
 
     A walk that takes a step first reads port_sequence(agent, d) once per
     degree of the graph, so a bad cycle raises AgentViolationError before
-    the first step. At a degree whose cycle is None, outport(d, i) is
-    asked on the first visit with index i to a node of that degree.
+    the first step. Where ports(d) is an iterator, it yields port_d(i) on
+    the first visit with index i to a node of degree d.
     """
     n = g.n
     if not 0 <= start < n:

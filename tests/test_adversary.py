@@ -1,6 +1,7 @@
 """Worst-case constructions and their certificates."""
 
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -122,7 +123,7 @@ class TestVerifyPathBound:
     def test_non_integer_port(self, port, n):
         # n=2 has no internal node, so the walk itself meets the port.
         agent = PortFunction()
-        agent.outport = lambda d, i: port
+        agent.ports = lambda d: itertools.repeat(port)
         with pytest.raises(AgentViolationError, match=repr(port)):
             verify_path_bound(agent, n)
 
@@ -151,7 +152,7 @@ class TestRarePort:
     @pytest.mark.parametrize("port", [1.0, None, 0, 4])
     def test_bad_exit_rejected(self, port):
         agent = PortFunction()
-        agent.outport = lambda d, i: port
+        agent.ports = lambda d: itertools.repeat(port)
         with pytest.raises(AgentViolationError, match=f"agent returned port {port!r} at degree 3"):
             rare_port(agent, 3)
 

@@ -1,5 +1,7 @@
 """Agent representations and the whiteboard-to-sequence reduction."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -170,6 +172,26 @@ class TestDerivePortFunction:
         with pytest.raises(AgentViolationError, match="node state 2 needs more"):
             derive_port_function(a, 2, 2)
 
+    @pytest.mark.parametrize("initial, transition", [
+        (False, lambda s, d: (False, 1)), (0, lambda s, d: (True, 1)),
+    ], ids=["initial False", "returns True"])
+    def test_bool_state_rejected(self, initial, transition):
+        a = WhiteboardAgent(transition, initial_state=initial, memory_bits=0)
+        with pytest.raises(AgentViolationError, match="is not a non-negative int"):
+            derive_port_function(a, 2, 3)
+
+    def test_no_read_ahead(self):
+        # A 3-bit counter: port_d(k) leaves the node in state k, so reading
+        # port_2(8) is the first read that overflows the budget.
+        a = WhiteboardAgent(lambda s, d: (s + 1, 1 + s % d), memory_bits=3)
+        assert derive_port_function(a, 2, 7) == [1, 2, 1, 2, 1, 2, 1]
+        assert a.outport(2, 5) == 1
+        g = build_path(PathLabeling(3, (1,)))
+        assert run(g, a, 1, ("steps", 14)).stopped  # node 1 exits on visits 1..7
+        with pytest.raises(AgentViolationError,
+                           match="^node state 8 needs more than 3 bits at degree 2$"):
+            run(g, a, 1, ("steps", 15))
+
     def test_matches_rotor_everywhere(self):
         wb = whiteboard_rotor_router()
         for d in range(1, 17):
@@ -184,7 +206,7 @@ class TestDerivePortFunction:
     def test_walk_matches_rotor(self):
         wb = whiteboard_rotor_router()
         assert wb.name == "whiteboard"
-        # out-of-order queries hit and extend the per-degree cache
+        # every query replays the transition from the initial state
         assert wb.outport(3, 7) == ROTOR.outport(3, 7)
         assert wb.outport(3, 2) == ROTOR.outport(3, 2)
         assert wb.outport(6, 1) == 1
@@ -223,8 +245,8 @@ class TestCycle:
     @pytest.mark.parametrize("agent", PERIODIC, ids=lambda a: a.name)
     def test_cycle_repeats_outport(self, agent):
         for d in range(1, 13):
-            cyc = agent.cycle(d)
-            if cyc is None:  # a script with no table at d >= 2
+            cyc = agent.ports(d)
+            if not isinstance(cyc, tuple):  # a script with no table at d >= 2
                 assert d > 1 and d not in agent.tables
                 continue
             assert type(cyc) is tuple and cyc
@@ -233,13 +255,13 @@ class TestCycle:
                 assert cyc[(i - 1) % period] == agent.outport(d, i)
 
     def test_script_without_degree_one_table(self):
-        assert ScriptedPortFunction({2: [2]}).cycle(1) == (1,)
+        assert ScriptedPortFunction({2: [2]}).ports(1) == (1,)
 
     def test_not_periodic(self):
         fail = ScriptedPortFunction({1: [1], 2: [2, 1]}, "fail")
         for d in range(1, 13):
-            assert fail.cycle(d) is None
-            assert whiteboard_rotor_router().cycle(d) is None
+            assert not isinstance(fail.ports(d), tuple)
+            assert not isinstance(whiteboard_rotor_router().ports(d), tuple)
 
 
 class TestMemoryLowerBound:
@@ -258,38 +280,42 @@ class TestMemoryLowerBound:
         with pytest.raises(ValueError):
             memory_lower_bound_check(1, 0)
 
+    @pytest.mark.parametrize("bits, d", [
+        (1.5, 2), (True, 2), (2, True), (1, 2.5), (None, 2), ("1", 2),
+    ])
+    def test_rejects_non_int_args(self, bits, d):
+        with pytest.raises(ValueError):
+            memory_lower_bound_check(bits, d)
+
     @given(st.integers(0, 12), st.integers(1, 2048))
     def test_agrees_with_powers(self, bits, d):
         assert memory_lower_bound_check(bits, d) == (2 ** bits >= d)
 
 
-def outport_only(outport):
-    """An agent with no cycle whose outport(d, i) is the given function."""
+def agent_with(ports):
+    """A bare PortFunction whose ports(d) is the given function."""
     agent = PortFunction()
-    agent.outport = outport
+    agent.ports = ports
     return agent
 
 
-class CycleOnly(PortFunction):
-    """The given cycle at every degree; its outport must never be asked."""
-
-    def __init__(self, cycle):
-        self.cycle = cycle
-
-    def outport(self, d, i):
-        raise AssertionError(f"outport({d}, {i}) asked of a periodic agent")
+def iterating(port):
+    """An agent whose ports(d) is an iterator over port(d, 1), port(d, 2), ...."""
+    return agent_with(lambda d: map(port, itertools.repeat(d), itertools.count(1)))
 
 
 class Counting(PortFunction):
-    """Forwards outport, gives no cycle, and records every (d, i) it is asked."""
+    """Yields the agent's port_d as an iterator and records every (d, i) it
+    is advanced to."""
 
     def __init__(self, agent):
         self.agent = agent
         self.calls = []
 
-    def outport(self, d, i):
-        self.calls.append((d, i))
-        return self.agent.outport(d, i)
+    def ports(self, d):
+        for i in itertools.count(1):
+            self.calls.append((d, i))
+            yield self.agent.outport(d, i)
 
 
 # Each reader of port_d, with the degree whose port it reads first.
@@ -311,10 +337,10 @@ class TestOneReader:
     @pytest.mark.parametrize("reader", READERS, ids=READERS.keys())
     def test_bad_port_message(self, reader, form, bad):
         d, read = READERS[reader]
-        if form == "outport":
-            agent = outport_only(lambda d_, i: bad(d_))
+        if form == "outport":  # ports(d) is an iterator
+            agent = iterating(lambda d_, i: bad(d_))
         else:
-            agent = CycleOnly(lambda d_: (bad(d_),))
+            agent = agent_with(lambda d_: (bad(d_),))
         with pytest.raises(AgentViolationError) as e:
             read(agent)
         assert str(e.value) == f"agent returned port {bad(d)!r} at degree {d}"
@@ -339,7 +365,7 @@ class TestOneReader:
 
     @pytest.mark.parametrize("agent", battery().values(), ids=battery().keys())
     def test_constructions_read_the_cycle(self, agent):
-        periodic = CycleOnly(agent.cycle)
+        periodic = agent_with(agent.ports)
         for d in range(2, 8):
             assert rare_port(periodic, d) == rare_port(Counting(agent), d)
         for n in range(2, 12):
@@ -351,4 +377,20 @@ class TestOneReader:
         lazy = port_sequence(whiteboard_rotor_router(), 3)
         assert [lazy[i % len(lazy)] for i in range(7)] == [1, 2, 3, 1, 2, 3, 1]
         with pytest.raises(AgentViolationError, match="agent cycle at degree 2 is"):
-            port_sequence(CycleOnly(lambda d: [1, 2]), 2)
+            port_sequence(agent_with(lambda d: [1, 2]), 2)
+
+    def test_iterator_error_is_kept(self):
+        # The iterator is spent once it raises; every later read at or past
+        # that index raises the same error again.
+        def ports(d):
+            yield 1
+            raise HorizonExceededError("table ends")
+        seq = port_sequence(agent_with(ports), 2)
+        for i in (1, 2, 1):
+            with pytest.raises(HorizonExceededError, match="table ends"):
+                seq[i]
+        assert seq[0] == 1
+        short = port_sequence(agent_with(lambda d: iter((2,))), 2)
+        assert short[0] == 2
+        with pytest.raises(AgentViolationError, match="^agent returned port None at degree 2$"):
+            short[1]

@@ -210,15 +210,17 @@ class TestBruteForceMatchesReference:
 
 
 class Counting(PortFunction):
-    """Forwards outport, gives no cycle, and records every (d, i) it is asked."""
+    """Yields the agent's port_d as an iterator and records every (d, i) it
+    is advanced to."""
 
     def __init__(self, agent):
         self.agent = agent
         self.calls = []
 
-    def outport(self, d, i):
-        self.calls.append((d, i))
-        return self.agent.outport(d, i)
+    def ports(self, d):
+        for i in itertools.count(1):
+            self.calls.append((d, i))
+            yield self.agent.outport(d, i)
 
 
 class TestBruteForceReadsPortsOnce:
@@ -243,8 +245,8 @@ class TestBruteForceReadsPortsOnce:
     @pytest.mark.parametrize("lazy, bad", [(1, 2), (2, 1)])
     def test_bad_cycle_beside_none_rejected(self, lazy, bad):
         class Mixed(Counting):
-            def cycle(self, d):
-                return None if d == lazy else (d + 1,)
+            def ports(self, d):
+                return super().ports(d) if d == lazy else (d + 1,)
         agent = Mixed(ROTOR)
         with pytest.raises(AgentViolationError, match=f"port {bad + 1} at degree {bad}"):
             brute_force_path_worst_case(agent, 5)

@@ -245,6 +245,10 @@ class TestValidate:
         g = PortLabeledGraph(2, ((5,), (0,)))
         assert any("out of range" in v for v in validate(g))
 
+    def test_bool_neighbor(self):
+        g = PortLabeledGraph(2, ((True,), (0,)))
+        assert validate(g) == ["node 0 port 1: neighbor True out of range"]
+
 
 class TestRelabel:
     def test_identity(self):

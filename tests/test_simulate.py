@@ -5,6 +5,7 @@ from the visit-counting convention (start node occupied at step 0, first
 exit uses visit index 1) before the engine existed.
 """
 
+import itertools
 import tracemalloc
 
 import pytest
@@ -139,15 +140,15 @@ class TestRun:
     @pytest.mark.parametrize("port", [1.0, None, "1", True])
     def test_non_integer_port(self, port):
         agent = PortFunction()
-        agent.outport = lambda d, i: port
+        agent.ports = lambda d: itertools.repeat(port)
         with pytest.raises(AgentViolationError, match=f"port {port!r}"):
             run(path3(), agent, 0, "covered")
 
     def test_agent_type_error_propagates(self):
-        def outport(d, i):
-            return None + 1
+        def ports(d):
+            yield None + 1
         agent = PortFunction()
-        agent.outport = outport
+        agent.ports = ports
         with pytest.raises(TypeError):
             run(path3(), agent, 0, "covered")
 
@@ -317,14 +318,17 @@ class TestTraceInvariants:
 
 
 class CallBased(PortFunction):
-    """Forwards outport and gives no cycle, so run() reads it through a lazy
-    port sequence."""
+    """Yields the agent's outport(d, 1), outport(d, 2), ... as an iterator, so
+    run() reads it through a lazy port sequence."""
 
     def __init__(self, agent):
         self.agent = agent
         self.name = agent.name
 
-    def outport(self, d, i):
+    def ports(self, d):
+        return map(self.ask, itertools.repeat(d), itertools.count(1))
+
+    def ask(self, d, i):
         return self.agent.outport(d, i)
 
 
@@ -392,26 +396,26 @@ class TestCompiledLoop:
     ], ids=["(0,)", "(d+1,)", "(1.0,)", "(True,)", "(1,0)", "0", "d+1", "1.0", "True", "()"])
     def test_bad_cycle_rejected(self, bad):
         class BadCycle(RotorRouter):
-            def cycle(self, d):
+            def ports(self, d):
                 return bad(d)
         with pytest.raises(AgentViolationError):
             run(path3(), BadCycle(), 2, ("steps", 2))
 
 
 class Counting(CallBased):
-    """CallBased that records every (d, i) it is asked."""
+    """CallBased that records every (d, i) it is advanced to."""
 
     def __init__(self, agent):
         super().__init__(agent)
         self.calls = []
 
-    def outport(self, d, i):
+    def ask(self, d, i):
         self.calls.append((d, i))
         return self.agent.outport(d, i)
 
 
 class TestLazyPorts:
-    """An agent with no cycle at a degree is read through outport lazily."""
+    """An agent whose ports(d) is an iterator is advanced lazily."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("agent", BATTERY + [whiteboard_rotor_router()],
@@ -432,8 +436,8 @@ class TestLazyPorts:
     @pytest.mark.parametrize("lazy, bad", [(1, 2), (2, 1)])
     def test_bad_cycle_beside_none_rejected_before_first_step(self, lazy, bad):
         class Mixed(Counting):
-            def cycle(self, d):
-                return None if d == lazy else (d + 1,)
+            def ports(self, d):
+                return super().ports(d) if d == lazy else (d + 1,)
         agent = Mixed(ROTOR)
         with pytest.raises(AgentViolationError, match=f"port {bad + 1} at degree {bad}"):
             run(path3(), agent, 2, ("steps", 2))
