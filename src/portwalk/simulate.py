@@ -21,7 +21,9 @@ degree's sequence: row v lists the node reached from v on each visit
 index, so a step costs two lookups, and a periodic agent's step makes no
 call into the agent. A node's row is built on its first visit (the start
 node's before the first step), so a short walk on a large graph builds
-only the rows it uses.
+only the rows it uses. A recorded walk also gives each visited node an
+exit row of shared (node, port) tuples, one per arc, so recording a step
+appends an 8-byte pointer; export_trace joins the step rows in chunks.
 """
 
 from __future__ import annotations
@@ -43,11 +45,12 @@ class SimulationTrace:
     """Complete record of one run.
 
     moves holds (node, outport) per step in order, or None when the run
-    was taken in counters-only mode. first_visit[v] is the earliest step
-    at which v is occupied (start node: 0, never visited: None).
-    covered_at is the step of first full coverage, None if coverage was
-    not reached. stopped records whether the stop condition fired before
-    the cap.
+    was taken in counters-only mode. Its tuples are shared: every crossing
+    of one arc is the same object, so the list costs 8 bytes a step.
+    first_visit[v] is the earliest step at which v is occupied (start
+    node: 0, never visited: None). covered_at is the step of first full
+    coverage, None if coverage was not reached. stopped records whether
+    the stop condition fired before the cap.
     """
 
     graph: PortLabeledGraph
@@ -74,6 +77,13 @@ def _whole(value, what: str) -> int:
     return value
 
 
+def _node(v, n: int, what: str) -> int:
+    """v itself if it is an int (bool is not) in 0..n-1, else InvalidVertexError."""
+    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
+        raise InvalidVertexError(f"{what} {v!r} out of range 0..{n - 1}")
+    return v
+
+
 def _cap(cap, n: int) -> int:
     """cap, or 4*n^3 when it is None; InvalidLimitError unless an int >= 1."""
     if cap is None:
@@ -84,25 +94,31 @@ def _cap(cap, n: int) -> int:
 
 
 class _Row:
-    """Successor row of one node over a port sequence that is not a cycle."""
+    """Successor or exit row of one node over a non-cycle port sequence."""
 
-    def __init__(self, row: tuple[int, ...], ports: Sequence[int]):
+    def __init__(self, row: tuple, ports: Sequence[int]):
         self.row, self.ports = row, ports
 
-    def __getitem__(self, i: int) -> int:
+    def __getitem__(self, i: int):
         return self.row[self.ports[i] - 1]
 
 
-def _successors(row: tuple[int, ...], ports: Sequence[int]) -> Sequence[int]:
-    """The node reached through row's ports on each visit index of one period.
+def _successors(row: tuple, ports: Sequence[int]) -> Sequence:
+    """The entry of row behind each visit index's port, over one period.
 
-    A list for a cycle (a tuple), a _Row otherwise. A function rather than
-    a comprehension inside run(), where it would turn cur into a closure
-    cell read on every step.
+    row is a node's neighbours (its successor row) or its _arcs (its exit
+    row). A list for a cycle (a tuple), a _Row otherwise. A function rather
+    than a comprehension inside run(), where it would turn cur into a
+    closure cell read on every step.
     """
     if isinstance(ports, tuple):
         return [row[q - 1] for q in ports]
     return _Row(row, ports)
+
+
+def _arcs(v: int, d: int) -> tuple[tuple[int, int], ...]:
+    """The moves (v, 1) .. (v, d) out of node v, one tuple per port."""
+    return tuple((v, p) for p in range(1, d + 1))
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -122,8 +138,7 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     the first visit with index i to a node of degree d.
     """
     n = g.n
-    if not 0 <= start < n:
-        raise InvalidVertexError(f"start node {start} out of range")
+    _node(start, n, "start node")
     cap = _cap(cap, n)
 
     # The walk stops at its first arrival at target, or at the first visit
@@ -133,9 +148,7 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     if stop == "covered":
         stop_unvisited = 0
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
-        target = _whole(stop[1], "target node")
-        if not 0 <= target < n:
-            raise InvalidVertexError(f"target node {target} out of range")
+        target = _node(_whole(stop[1], "target node"), n, "target node")
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "steps":
         budget = _whole(stop[1], "step budget")
         if budget < 0:
@@ -169,10 +182,13 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         lens = [len(seq) for seq in ports]
         nexts: list[Sequence[int] | None] = [None] * n
         nexts[cur] = _successors(port_map[cur], ports[cur])
+        if moves is not None:
+            exits: list[Sequence[tuple[int, int]] | None] = [None] * n
+            exits[cur] = _successors(_arcs(cur, degs[cur]), ports[cur])
         for steps in range(1, limit + 1):
             i = visit_counts[cur] % lens[cur] - 1
             if moves is not None:
-                moves.append((cur, ports[cur][i]))
+                moves.append(exits[cur][i])
             cur = nexts[cur][i]
             c = visit_counts[cur] + 1
             visit_counts[cur] = c
@@ -185,6 +201,8 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
                     stopped = True
                     break
                 nexts[cur] = _successors(port_map[cur], ports[cur])
+                if moves is not None:
+                    exits[cur] = _successors(_arcs(cur, degs[cur]), ports[cur])
 
     if budget is not None:
         stopped = steps == budget
@@ -204,8 +222,8 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
 
 def arc_traversals(trace: SimulationTrace, u: int, v: int) -> int:
     """How many of the recorded moves crossed the arc u -> v."""
-    row = trace.graph.port_map[u]
-    if v not in row:
+    row = trace.graph.port_map[_node(u, trace.graph.n, "node")]
+    if _node(v, trace.graph.n, "node") not in row:
         raise InvalidArcError(f"({u}, {v}) is not an arc of the graph")
     return _moves(trace).count((u, row.index(v) + 1))
 
@@ -216,7 +234,8 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
     The start occupancy counts at step 0, every arrival at its step.
     step_limit may not exceed the number of executed steps.
     """
-    if step_limit < 0 or step_limit > trace.steps:
+    _node(v, trace.graph.n, "node")
+    if _whole(step_limit, "step limit") < 0 or step_limit > trace.steps:
         raise InvalidLimitError(
             f"step limit {step_limit} outside 0..{trace.steps}"
         )
@@ -232,20 +251,28 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
 
 def outports_taken(trace: SimulationTrace, v: int) -> list[int]:
     """Sequence of outports the run used when leaving v, in order."""
+    _node(v, trace.graph.n, "node")
     return [p for node, p in _moves(trace) if node == v]
+
+
+_CHUNK = 8192  # step rows formatted per join in export_trace
 
 
 def export_trace(trace: SimulationTrace) -> str:
     """Column-separated trace document.
 
     One row per step (step,node,outport,next_node), then a summary block
-    with covered_at and per-node first_visit / visit_counts.
+    with covered_at and per-node first_visit / visit_counts. The step rows
+    are joined _CHUNK at a time, so at most one chunk's row strings live.
     """
     g = trace.graph
     arcs = [[f"{v},{p},{w}" for p, w in enumerate(row, 1)]
             for v, row in enumerate(g.port_map)]
+    moves = _moves(trace)
     lines = ["step,node,outport,next_node"]
-    lines.extend(f"{k},{arcs[node][p - 1]}" for k, (node, p) in enumerate(_moves(trace)))
+    for s in range(0, len(moves), _CHUNK):
+        lines.append("\n".join([f"{k},{arcs[node][p - 1]}"
+                                for k, (node, p) in enumerate(moves[s:s + _CHUNK], s)]))
     lines.append("summary")
     covered = "none" if trace.covered_at is None else str(trace.covered_at)
     lines.append(f"covered_at,{covered}")

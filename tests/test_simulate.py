@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from portwalk.adversary import worst_case_path_labeling
 from portwalk.agents import (
     CyclicAgent,
     PortFunction,
@@ -137,6 +138,14 @@ class TestRun:
         with pytest.raises(InvalidLimitError):
             run(path3(), ROTOR, 2, stop, cap=cap)
 
+    @pytest.mark.parametrize("start, stop", [
+        (-1, "covered"), (3, "covered"), (True, "covered"), (1.0, "covered"),
+        (None, "covered"), (0, ("target", -1)), (0, ("target", 3)),
+    ])
+    def test_bad_nodes(self, start, stop):
+        with pytest.raises(InvalidVertexError):
+            run(path3(), ROTOR, start, stop)
+
     @pytest.mark.parametrize("port", [1.0, None, "1", True])
     def test_non_integer_port(self, port):
         agent = PortFunction()
@@ -246,11 +255,65 @@ class TestVisitCountUpto:
                         assert visit_count_upto(lean, v, lean.steps) == departures
                         assert visit_count_upto(full, v, full.steps) == departures
 
+    @pytest.mark.parametrize("limit", [True, 2.5, "3", None])
+    def test_non_integer_limit_rejected(self, limit):
+        t = run(path3(), ROTOR, 2, ("target", 0))
+        with pytest.raises(InvalidLimitError):
+            visit_count_upto(t, 0, limit)
+
     def test_counters_only_partial_window_rejected(self):
         g = path3()
         lean = run(g, ROTOR, 2, ("steps", 10), record_moves=False)
         with pytest.raises(ValueError):
             visit_count_upto(lean, 0, 5)
+
+
+def path4_trace(record_moves):
+    g = build_path(PathLabeling(4, (1, 1)))
+    return run(g, ROTOR, 3, ("steps", 10), record_moves=record_moves)
+
+
+BAD_NODES = [-1, 4, 9, True, False, 1.0, None, "1"]
+MODES = pytest.mark.parametrize("record", [True, False], ids=["moves", "counters"])
+
+
+class TestReaderNodes:
+    """Every trace reader rejects a node that is not an int in 0..n-1,
+    rather than reading another node's entry through Python indexing."""
+
+    def test_good_nodes_answer(self):
+        # the answers that -1 used to read, or miss, for node 3
+        t = path4_trace(True)
+        assert visit_count_upto(t, 3, 10) == 3
+        assert visit_count_upto(t, 3, 5) == 2
+        assert arc_traversals(t, 3, 2) == 3
+        assert outports_taken(t, 3) == [1, 1, 1]
+
+    @MODES
+    @pytest.mark.parametrize("v", BAD_NODES, ids=repr)
+    def test_visit_count_full_window(self, v, record):
+        with pytest.raises(InvalidVertexError):
+            visit_count_upto(path4_trace(record), v, 10)
+
+    @pytest.mark.parametrize("v", BAD_NODES, ids=repr)
+    def test_visit_count_partial_window(self, v):
+        with pytest.raises(InvalidVertexError):
+            visit_count_upto(path4_trace(True), v, 5)
+
+    @MODES
+    @pytest.mark.parametrize("v", BAD_NODES, ids=repr)
+    def test_outports_taken(self, v, record):
+        with pytest.raises(InvalidVertexError):
+            outports_taken(path4_trace(record), v)
+
+    @MODES
+    @pytest.mark.parametrize("u, v", [
+        (-1, 2), (9, 0), (True, 0), (1.0, 0), (None, 0),
+        (3, -1), (0, 9), (0, True), (0, 1.0), (0, None),
+    ], ids=repr)
+    def test_arc_traversals(self, u, v, record):
+        with pytest.raises(InvalidVertexError):
+            arc_traversals(path4_trace(record), u, v)
 
 
 graph_params = st.tuples(
@@ -389,6 +452,28 @@ class TestCompiledLoop:
                 == outcome(g, CallBased(agent), 1999, ("steps", 10), None, True))
         assert t.steps == 10
 
+    def test_recorded_walk_shares_one_tuple_per_arc(self):
+        # The rotor-router's worst 500-node path takes (n-1)^2 = 249,001
+        # moves. A fresh (node, port) tuple per move cost about 64 B a step
+        # (a 15 MB peak) and a row string per step in export_trace about
+        # 5x the document; the bounds below leave a 2x and a 1.5x margin
+        # over the shared per-arc tuples and the chunked export.
+        g = build_path(worst_case_path_labeling(ROTOR, 500))
+        tracemalloc.start()
+        try:
+            t = run(g, ROTOR, 499, ("target", 0))
+            run_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            doc = export_trace(t)
+            export_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert t.steps == 499 ** 2
+        assert len({id(m) for m in t.moves}) <= 2 * g.m
+        assert run_peak <= 16 * t.steps  # the moves list's pointers are 8 B a step
+        assert export_peak <= 3 * len(doc)  # the chunks and the joined document are 2x
+
     @pytest.mark.parametrize("bad", [
         lambda d: (0,), lambda d: (d + 1,), lambda d: (1.0,), lambda d: (True,),
         lambda d: (1, 0), lambda d: 0, lambda d: d + 1, lambda d: 1.0, lambda d: True,
@@ -478,7 +563,31 @@ class TestExport:
                 f"{k},{v},{p},{g.port_map[v][p - 1]}" for k, (v, p) in enumerate(t.moves)]
         assert max(p for _, p in run(g, ROTOR, 0, ("steps", 2000)).moves) >= 10
 
+    @pytest.mark.parametrize("agent", [ROTOR, whiteboard_rotor_router()],
+                             ids=["cycle", "iterator"])
+    @pytest.mark.parametrize("steps", [0, 1, 8191, 8192, 8193, 16385])
+    def test_chunk_boundaries(self, steps, agent):
+        g = random_connected_graph(30, 70, seed=5)
+        t = run(g, agent, 0, ("steps", steps))
+        assert t.steps == steps
+        assert export_trace(t) == one_row_at_a_time(t)
+
     def test_counters_only_rejected(self):
         t = run(path3(), ROTOR, 2, ("steps", 5), record_moves=False)
         with pytest.raises(ValueError):
             export_trace(t)
+
+
+def one_row_at_a_time(t):
+    """Reference for export_trace: every line formatted and ended on its own."""
+    g = t.graph
+    out = ["step,node,outport,next_node\n"]
+    for k, (v, p) in enumerate(t.moves):
+        out.append(f"{k},{v},{p},{g.port_map[v][p - 1]}\n")
+    out.append("summary\n")
+    out.append(f"covered_at,{'none' if t.covered_at is None else t.covered_at}\n")
+    out.append("node,first_visit,visit_count\n")
+    for v in range(g.n):
+        fv = t.first_visit[v]
+        out.append(f"{v},{'none' if fv is None else fv},{t.visit_counts[v]}\n")
+    return "".join(out)
