@@ -32,16 +32,16 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .agents import PortFunction, port_sequence
+from .agents import PortFunction, derive_port_function
 from .errors import (
     HorizonExceededError,
     InvalidSizeError,
     InvalidVertexError,
+    whole,
 )
 from .graphs import (
     PathLabeling,
     PortLabeledGraph,
-    _size,
     build_clique_pendant,
     build_path,
     replace_pendant_with_path,
@@ -66,8 +66,7 @@ class AdversarialInstance:
     construction_log: dict
 
     def __post_init__(self):
-        if self.certified_bound <= 0:
-            raise InvalidSizeError("certified bound must be positive")
+        whole(self.certified_bound, "certified bound", InvalidSizeError, 1)
 
 
 def majority_element(seq: Sequence[int], k: int) -> int:
@@ -77,19 +76,13 @@ def majority_element(seq: Sequence[int], k: int) -> int:
     impossible. A prefix longer than the available sequence raises
     HorizonExceededError.
     """
-    need = 2 * k - 1
+    need = 2 * whole(k, "k", InvalidSizeError, 1) - 1
     if need > len(seq):
         raise HorizonExceededError(
             f"need {need} sequence values, have {len(seq)}"
         )
     ones = sum(1 for x in seq[:need] if x == 1)
     return 1 if ones >= k else 2
-
-
-def _exits(agent: PortFunction, d: int, k: int) -> list[int]:
-    """port_d(1..k), read from the agent's checked port sequence."""
-    seq = port_sequence(agent, d)
-    return [seq[i % len(seq)] for i in range(k)]
 
 
 def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
@@ -100,9 +93,8 @@ def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     v_1. Needs the degree-2 sequence up to index 2(n-2)-1; scripted agents
     that cannot answer that far raise HorizonExceededError.
     """
-    if _size(n, "n") < 2:
-        raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")
-    prefix = _exits(agent, 2, 2 * (n - 2) - 1)
+    whole(n, "n", InvalidSizeError, 2)
+    prefix = derive_port_function(agent, 2, max(2 * (n - 2) - 1, 0))
     toward_far = tuple(majority_element(prefix, i - 1) for i in range(2, n))
     return PathLabeling(n, toward_far)
 
@@ -169,10 +161,9 @@ def rare_port(agent: PortFunction, d: int) -> int:
     Existence is guaranteed by counting: d(d-1) slots cannot give all d
     ports d or more occurrences.
     """
-    if _size(d, "d") < 2:
-        raise InvalidSizeError(f"need degree at least 2, got {d}")
+    whole(d, "d", InvalidSizeError, 2)
     counts = [0] * (d + 1)
-    for p in _exits(agent, d, d * (d - 1)):
+    for p in derive_port_function(agent, d, d * (d - 1)):
         counts[p] += 1
     for p in range(1, d + 1):
         if counts[p] <= d - 1:
@@ -210,11 +201,8 @@ def build_cubic_instance(agent: PortFunction, n: int,
 
     HorizonExceededError from any stage is re-raised naming the stage.
     """
-    if _size(n, "n") < 6:
-        raise InvalidSizeError(f"need n >= 6 for a clique of degree >= 2, got {n}")
-    d = n // 3
-    if not 0 <= start < d:
-        raise InvalidVertexError(f"start must be a clique node 0..{d - 1}, got {start}")
+    d = whole(n, "n", InvalidSizeError, 6) // 3
+    whole(start, "start clique node", InvalidVertexError, 0, d - 1)
 
     steps_budget = d * d * (d - 1)
     path_len = n - 2 * d + 1  # d+1 plus the n mod 3 remainder

@@ -19,11 +19,11 @@ port_d(1), port_d(2), .... The rotor-router, cyclic patterns and "cycle"
 scripts return cycles; "fail" scripts and whiteboard agents return
 iterators.
 
-Every reader of port_d (the walk engine, both constructions, the brute
-force and outport(d, i)) goes through port_sequence(agent, d): the checked
-cycle, or a sequence that advances the iterator once per index, the
-first time it is read. A port is legal at degree d when it is an int, not
-a bool, in 1..d; _port is the one check.
+Every reader of port_d (the walk engine, the brute force, outport(d, i)
+and derive_port_function, which both constructions call) goes through
+port_sequence(agent, d): the checked cycle, or a sequence that advances
+the iterator once per index, the first time it is read. A port is legal
+at degree d when errors.is_whole(p, 1, d); _port is the one port check.
 """
 
 from __future__ import annotations
@@ -32,10 +32,17 @@ import json
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Mapping, Sequence
 
-from .errors import AgentViolationError, HorizonExceededError, InvalidPortError
+from .errors import (
+    AgentViolationError,
+    HorizonExceededError,
+    InvalidLimitError,
+    InvalidPortError,
+    InvalidSizeError,
+    is_whole,
+    whole,
+)
 
 
 class PortFunction:
@@ -48,8 +55,7 @@ class PortFunction:
         raise NotImplementedError
 
     def outport(self, d: int, i: int) -> int:
-        if i < 1:
-            raise ValueError(f"visit index must be at least 1, got {i}")
+        whole(i, "visit index", InvalidLimitError, 1)
         seq = port_sequence(self, d)
         return seq[(i - 1) % len(seq)]
 
@@ -59,7 +65,7 @@ def _port(p, d: int) -> int:
 
     Raises AgentViolationError otherwise.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or not 1 <= p <= d:
+    if not is_whole(p, 1, d):
         raise AgentViolationError(f"agent returned port {p!r} at degree {d}")
     return p
 
@@ -128,7 +134,7 @@ class CyclicAgent(PortFunction):
 
     def __init__(self, pattern: Sequence[int], name: str | None = None):
         pattern = tuple(pattern)
-        if not pattern or any(type(e) is not int or e < 1 for e in pattern):
+        if not pattern or not all(is_whole(e, 1) for e in pattern):
             raise InvalidPortError(f"pattern entries must be positive ints, got {pattern}")
         self.pattern = pattern
         self.name = name or "cycle-" + "".join(str(e) for e in pattern)
@@ -151,13 +157,8 @@ class ScriptedPortFunction(PortFunction):
             raise ValueError(f"extension must be 'cycle' or 'fail', got {extension!r}")
         clean: dict[int, tuple[int, ...]] = {}
         for d, entries in tables.items():
-            if type(d) is not int:
-                raise InvalidPortError(f"degree {d!r} is not an int")
-            entries = tuple(entries)
-            for e in entries:
-                if type(e) is not int or not 1 <= e <= d:
-                    raise InvalidPortError(f"table for degree {d} contains port {e!r}")
-            clean[d] = entries
+            whole(d, "table degree", InvalidPortError, 1)
+            clean[d] = tuple(whole(e, "table port", InvalidPortError, 1, d) for e in entries)
         self.tables = clean
         self.extension = extension
         self.name = name
@@ -236,8 +237,7 @@ class WhiteboardAgent(PortFunction):
         int (a bool is not one).
         """
         bits = self.memory_bits(d) if callable(self.memory_bits) else self.memory_bits
-        if bits is not None and (isinstance(bits, bool) or not isinstance(bits, int)
-                                 or bits < 0):
+        if bits is not None and not is_whole(bits, 0):
             raise AgentViolationError(f"memory budget {bits!r} at degree {d} "
                                       "is not a non-negative int")
         return bits
@@ -254,7 +254,7 @@ class WhiteboardAgent(PortFunction):
         limit = None if budget is None else 1 << budget
         state, port = self.initial_state, None
         while True:  # check the initial state, then every state a transition returns
-            if isinstance(state, bool) or not isinstance(state, int) or state < 0:
+            if not is_whole(state, 0):
                 raise AgentViolationError(f"node state {state!r} is not a non-negative int")
             if limit is not None and state >= limit:
                 raise AgentViolationError(
@@ -266,11 +266,15 @@ class WhiteboardAgent(PortFunction):
             _port(port, d)
 
 
-def derive_port_function(agent: WhiteboardAgent, d: int, k: int) -> list[int]:
-    """First k outports the agent takes at a virtual degree-d node: port_d(1..k)."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return list(islice(agent.ports(d), k))
+def derive_port_function(agent: PortFunction, d: int, k: int) -> list[int]:
+    """port_d(1..k), the first k outports the agent takes at a degree-d node.
+
+    Read through port_sequence, so every port is checked and a cycle
+    repeats past its period; k = 0 reads no port but still checks a cycle.
+    """
+    whole(k, "k", InvalidSizeError, 0)
+    seq = port_sequence(agent, d)
+    return [seq[i % len(seq)] for i in range(k)]
 
 
 def whiteboard_rotor_router() -> WhiteboardAgent:
@@ -284,6 +288,5 @@ def whiteboard_rotor_router() -> WhiteboardAgent:
 
 def memory_lower_bound_check(memory_bits: int, d: int) -> bool:
     """Whether memory_bits bits can distinguish the d inputs a degree-d node needs."""
-    if not (type(memory_bits) is int and type(d) is int and d >= 1 and memory_bits >= 0):
-        raise ValueError(f"need ints d >= 1 and bits >= 0, got ({memory_bits!r}, {d!r})")
-    return (1 << memory_bits) >= d
+    whole(memory_bits, "memory_bits", InvalidSizeError, 0)
+    return (1 << memory_bits) >= whole(d, "d", InvalidSizeError, 1)

@@ -19,8 +19,8 @@ from .adversary import (
     verify_cubic_bound,
     verify_path_bound,
 )
-from .errors import InvalidLimitError, InvalidSizeError
-from .graphs import PathLabeling, _size, diameter, random_connected_graph
+from .errors import InvalidLimitError, InvalidSizeError, whole
+from .graphs import PathLabeling, diameter, random_connected_graph
 from .simulate import _cap, run
 
 
@@ -122,10 +122,7 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     An agent whose ports(d) is an iterator is advanced once per index
     that some walk reaches.
     """
-    if _size(n, "n") < 2:
-        raise InvalidSizeError(f"path needs at least 2 nodes, got {n}")
-    if n > 14:
-        raise InvalidSizeError(f"n={n} means 2^{n - 2} labelings; use n <= 14")
+    whole(n, "n", InvalidSizeError, 2, 14)
     cap = _cap(cap, n)
     # port_d(i) is ports1[(i - 1) % period1] at d = 1 and likewise at d = 2.
     # (n = 2 has no degree-2 node.)

@@ -24,6 +24,7 @@ node's before the first step), so a short walk on a large graph builds
 only the rows it uses. A recorded walk also gives each visited node an
 exit row of shared (node, port) tuples, one per arc, so recording a step
 appends an 8-byte pointer; export_trace joins the step rows in chunks.
+Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 
 from __future__ import annotations
@@ -32,11 +33,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .agents import PortFunction, port_sequence
-from .errors import (
-    InvalidArcError,
-    InvalidLimitError,
-    InvalidVertexError,
-)
+from .errors import InvalidArcError, InvalidLimitError, InvalidVertexError, whole
 from .graphs import PortLabeledGraph
 
 
@@ -70,27 +67,9 @@ def _moves(trace: SimulationTrace) -> list[tuple[int, int]]:
     return trace.moves
 
 
-def _whole(value, what: str) -> int:
-    """value itself if it is an int (bool is not), else InvalidLimitError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidLimitError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _node(v, n: int, what: str) -> int:
-    """v itself if it is an int (bool is not) in 0..n-1, else InvalidVertexError."""
-    if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < n:
-        raise InvalidVertexError(f"{what} {v!r} out of range 0..{n - 1}")
-    return v
-
-
 def _cap(cap, n: int) -> int:
     """cap, or 4*n^3 when it is None; InvalidLimitError unless an int >= 1."""
-    if cap is None:
-        return 4 * n * n * n
-    if _whole(cap, "cap") < 1:
-        raise InvalidLimitError(f"cap must be at least 1, got {cap}")
-    return cap
+    return 4 * n * n * n if cap is None else whole(cap, "cap", InvalidLimitError, 1)
 
 
 class _Row:
@@ -138,7 +117,7 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     the first visit with index i to a node of degree d.
     """
     n = g.n
-    _node(start, n, "start node")
+    whole(start, "start node", InvalidVertexError, 0, n - 1)
     cap = _cap(cap, n)
 
     # The walk stops at its first arrival at target, or at the first visit
@@ -148,11 +127,10 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     if stop == "covered":
         stop_unvisited = 0
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
-        target = _node(_whole(stop[1], "target node"), n, "target node")
+        whole(stop[1], "target node", InvalidLimitError)
+        target = whole(stop[1], "target node", InvalidVertexError, 0, n - 1)
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "steps":
-        budget = _whole(stop[1], "step budget")
-        if budget < 0:
-            raise InvalidLimitError(f"step budget must be non-negative, got {budget}")
+        budget = whole(stop[1], "step budget", InvalidLimitError, 0)
         limit = min(cap, budget)
     else:
         raise ValueError(f"unrecognized stop condition {stop!r}")
@@ -222,8 +200,9 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
 
 def arc_traversals(trace: SimulationTrace, u: int, v: int) -> int:
     """How many of the recorded moves crossed the arc u -> v."""
-    row = trace.graph.port_map[_node(u, trace.graph.n, "node")]
-    if _node(v, trace.graph.n, "node") not in row:
+    n = trace.graph.n
+    row = trace.graph.port_map[whole(u, "node", InvalidVertexError, 0, n - 1)]
+    if whole(v, "node", InvalidVertexError, 0, n - 1) not in row:
         raise InvalidArcError(f"({u}, {v}) is not an arc of the graph")
     return _moves(trace).count((u, row.index(v) + 1))
 
@@ -234,11 +213,8 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
     The start occupancy counts at step 0, every arrival at its step.
     step_limit may not exceed the number of executed steps.
     """
-    _node(v, trace.graph.n, "node")
-    if _whole(step_limit, "step limit") < 0 or step_limit > trace.steps:
-        raise InvalidLimitError(
-            f"step limit {step_limit} outside 0..{trace.steps}"
-        )
+    whole(v, "node", InvalidVertexError, 0, trace.graph.n - 1)
+    whole(step_limit, "step limit", InvalidLimitError, 0, trace.steps)
     if step_limit == trace.steps:
         # Every occupancy but the last ended in a move.
         return trace.visit_counts[v] - (trace.final == v)
@@ -251,7 +227,7 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
 
 def outports_taken(trace: SimulationTrace, v: int) -> list[int]:
     """Sequence of outports the run used when leaving v, in order."""
-    _node(v, trace.graph.n, "node")
+    whole(v, "node", InvalidVertexError, 0, trace.graph.n - 1)
     return [p for node, p in _moves(trace) if node == v]
 
 

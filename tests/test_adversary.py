@@ -64,6 +64,11 @@ class TestMajorityElement:
         with pytest.raises(HorizonExceededError):
             majority_element([1], 2)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_must_be_positive(self, k):
+        with pytest.raises(InvalidSizeError, match="^k must be at least 1"):
+            majority_element([1, 2, 2], k)
+
 
 class TestWorstCasePathLabeling:
     def test_rotor_three_nodes(self):
@@ -75,6 +80,18 @@ class TestWorstCasePathLabeling:
 
     def test_two_nodes_empty(self):
         assert worst_case_path_labeling(ROTOR, 2).toward_far == ()
+
+    def test_two_nodes_check_the_cycle(self):
+        # n = 2 reads no degree-2 exit, but still checks the degree-2 cycle
+        agent = PortFunction()
+        agent.ports = lambda d: (0,)
+        with pytest.raises(AgentViolationError, match="^agent returned port 0 at degree 2$"):
+            worst_case_path_labeling(agent, 2)
+
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_too_small(self, n):
+        with pytest.raises(InvalidSizeError, match="^n must be at least 2"):
+            worst_case_path_labeling(ROTOR, n)
 
     def test_short_script_runs_out(self):
         agent = ScriptedPortFunction({2: [1]}, "fail")
@@ -205,6 +222,15 @@ class TestBuildCubicInstance:
         with pytest.raises(InvalidVertexError):
             build_cubic_instance(ROTOR, 18, start=7)
 
+    @pytest.mark.parametrize("start, message", [
+        (0.5, "an integer, got 0.5"), (True, "an integer, got True"),
+        (6, "in 0..5, got 6"), (-1, "in 0..5, got -1"),
+    ], ids=repr)
+    def test_start_checked_against_the_clique(self, start, message):
+        # not by the probe run, which named the probe graph's nodes 0..11
+        with pytest.raises(InvalidVertexError, match=f"^start clique node must be {message}$"):
+            build_cubic_instance(ROTOR, 18, start=start)
+
     def test_deterministic(self):
         assert build_cubic_instance(ROTOR, 21) == build_cubic_instance(ROTOR, 21)
 
@@ -257,6 +283,19 @@ class TestVerifyCubicBound:
     def test_bad_cap(self, cap):
         with pytest.raises(InvalidLimitError, match="^cap must be"):
             verify_cubic_bound(ROTOR, 18, cap=cap)
+
+    def test_v_star_over_budget_fails(self, monkeypatch):
+        # The probe run's accounting keeps a real replay within budget, so a
+        # miscount is injected into the replay of the 18-node instance (the
+        # probe graph has 12 nodes); the row fails whatever the cover time.
+        import portwalk.adversary as adversary
+        count = adversary.visit_count_upto
+        monkeypatch.setattr(adversary, "visit_count_upto", lambda t, v, k: (
+            count(t, v, k) + 100 * (t.graph.n == 18)))
+        r = verify_cubic_bound(ROTOR, 18)
+        assert r.cover is not None and r.cover >= r.bound
+        assert r.v_star_visits > r.v_star_budget
+        assert r.verdict == "fail" and not r.passed
 
 
 class TestPrefixEquivalence:

@@ -1,5 +1,6 @@
 """Agent representations and the whiteboard-to-sequence reduction."""
 
+import enum
 import itertools
 
 import pytest
@@ -22,7 +23,9 @@ from portwalk.agents import (
 from portwalk.errors import (
     AgentViolationError,
     HorizonExceededError,
+    InvalidLimitError,
     InvalidPortError,
+    InvalidSizeError,
 )
 from portwalk.experiments import battery, brute_force_path_worst_case
 from portwalk.graphs import PathLabeling, build_path, random_connected_graph
@@ -41,6 +44,11 @@ class TestRotorRouterPort:
 
     def test_second_visit_degree_two(self):
         assert ROTOR.outport(2, 2) == 2
+
+    @pytest.mark.parametrize("i", [0, -1, 1.5, True, None], ids=repr)
+    def test_bad_visit_index(self, i):
+        with pytest.raises(InvalidLimitError, match="^visit index must be"):
+            ROTOR.outport(2, i)
 
     @given(st.integers(1, 16), st.integers(0, 30))
     def test_window_uses_each_port_once(self, d, offset):
@@ -192,6 +200,35 @@ class TestDerivePortFunction:
                            match="^node state 8 needs more than 3 bits at degree 2$"):
             run(g, a, 1, ("steps", 15))
 
+    def test_reads_past_a_cycle(self):
+        assert derive_port_function(ROTOR, 3, 7) == [1, 2, 3, 1, 2, 3, 1]
+        assert derive_port_function(ROTOR, 3, 0) == []
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_checks_a_cycle(self, k):
+        with pytest.raises(AgentViolationError, match="^agent returned port 0 at degree 2$"):
+            derive_port_function(agent_with(lambda d: (0, 5)), 2, k)
+
+    @pytest.mark.parametrize("k", [-1, 1.5, True, None], ids=repr)
+    def test_bad_k(self, k):
+        with pytest.raises(InvalidSizeError, match="^k must be"):
+            derive_port_function(ROTOR, 2, k)
+
+    def test_whiteboard_raises_at_the_same_index(self):
+        # port_2(4) is the first bad port, and reading it runs four transitions
+        calls = []
+
+        def transition(s, d):
+            calls.append(s)
+            return s + 1, 1 if s < 3 else 9
+        a = WhiteboardAgent(transition)
+        assert derive_port_function(a, 2, 3) == [1, 1, 1]
+        assert calls == [0, 1, 2]
+        calls.clear()
+        with pytest.raises(AgentViolationError, match="^agent returned port 9 at degree 2$"):
+            derive_port_function(a, 2, 10)
+        assert calls == [0, 1, 2, 3]
+
     def test_matches_rotor_everywhere(self):
         wb = whiteboard_rotor_router()
         for d in range(1, 17):
@@ -292,6 +329,18 @@ class TestMemoryLowerBound:
         assert memory_lower_bound_check(bits, d) == (2 ** bits >= d)
 
 
+class Port(enum.IntEnum):
+    ONE = 1
+    TWO = 2
+
+
+def test_int_subclasses_are_ints():
+    # as run() and the graph builders already took them; bool is the exception
+    assert CyclicAgent([Port.TWO]).ports(3) == (2,)
+    assert ScriptedPortFunction({Port.TWO: [Port.ONE]}).ports(2) == (1,)
+    assert memory_lower_bound_check(Port.ONE, Port.TWO) is True
+
+
 def agent_with(ports):
     """A bare PortFunction whose ports(d) is the given function."""
     agent = PortFunction()
@@ -324,6 +373,7 @@ READERS = {
     "brute-force": (1, lambda a: brute_force_path_worst_case(a, 4)),
     "path-labeling": (2, lambda a: worst_case_path_labeling(a, 4)),
     "rare-port": (3, lambda a: rare_port(a, 3)),
+    "derive": (3, lambda a: derive_port_function(a, 3, 7)),
 }
 BAD_PORTS = {"1.0": lambda d: 1.0, "None": lambda d: None, "0": lambda d: 0,
              "True": lambda d: True, "d+1": lambda d: d + 1}

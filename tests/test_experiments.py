@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from portwalk.adversary import (
     build_cubic_instance,
+    majority_element,
     rare_port,
     verify_path_bound,
     worst_case_path_labeling,
@@ -16,6 +17,8 @@ from portwalk.agents import (
     PortFunction,
     RotorRouter,
     ScriptedPortFunction,
+    derive_port_function,
+    memory_lower_bound_check,
     whiteboard_rotor_router,
 )
 from portwalk.errors import (
@@ -264,6 +267,9 @@ SIZED_CALLS = {
     "rare_port": lambda: rare_port(ROTOR, 2.0),
     "build_cubic_instance": lambda: build_cubic_instance(ROTOR, 6.0),
     "brute_force": lambda: brute_force_path_worst_case(ROTOR, 4.0),
+    "majority_element": lambda: majority_element((1, 1, 1), 2.0),
+    "derive_port_function": lambda: derive_port_function(ROTOR, 2, 3.0),
+    "memory_bits": lambda: memory_lower_bound_check(1.5, 2),
 }
 
 
@@ -309,6 +315,12 @@ class TestRotorUpperSweep:
         t = run(star, ROTOR, 0, "covered")
         assert t.covered_at is not None
         assert t.covered_at <= 2 * 4 * diameter(star)
+
+    def test_non_covering_row_fails(self):
+        report = rotor_upper_bound_sweep([(10, 15, 3)], cap=2)
+        row = report.rows[0]
+        assert (row.measured, row.verdict) == ("", "fail")
+        assert report.aggregate == "fail"
 
     def test_tiny_factor_fails(self):
         report = rotor_upper_bound_sweep([(10, 15, 3)], factor=0.001)

@@ -1,5 +1,6 @@
 """Graph model: builders, invariants, validation, serialization."""
 
+import time
 from random import Random
 
 import pytest
@@ -185,6 +186,34 @@ class TestReplacePendantWithPath:
         with pytest.raises(InvalidVertexError):
             replace_pendant_with_path(g1, 9, PathLabeling(5, (1, 1, 2)))
 
+    @pytest.mark.parametrize("v_star", [1.0, True, None, "0"], ids=repr)
+    def test_non_integer_v_star(self, v_star):
+        g1 = build_clique_pendant(3, 1)
+        with pytest.raises(InvalidVertexError):
+            replace_pendant_with_path(g1, v_star, PathLabeling(5, (1, 1, 2)))
+
+    def test_not_an_instance(self):
+        g1 = build_path(PathLabeling(3, (1,)))
+        with pytest.raises(InvalidVertexError, match="not a clique-with-pendants instance"):
+            replace_pendant_with_path(g1, 0, PathLabeling(5, (1, 1, 2)))
+
+    def test_pendant_of_another_node(self):
+        # id 3 is the pendant of clique node 1 once two pendants swap ids
+        g1 = relabel(build_clique_pendant(3, 1), [0, 1, 2, 4, 3, 5])
+        with pytest.raises(InvalidVertexError, match="^0 has no pendant to replace$"):
+            replace_pendant_with_path(g1, 0, PathLabeling(5, (1, 1, 2)))
+
+
+class TestAccessors:
+    @pytest.mark.parametrize("port", [0, 3, True, 1.0, None], ids=repr)
+    def test_neighbor_rejects_bad_port(self, port):
+        with pytest.raises(InvalidPortError, match="^node 1 has no port"):
+            build_path(PathLabeling(3, (1,))).neighbor(1, port)
+
+    def test_port_to_non_neighbor(self):
+        with pytest.raises(InvalidVertexError, match="^2 is not a neighbor of 0$"):
+            build_path(PathLabeling(3, (1,))).port_to(0, 2)
+
 
 class TestRandomConnectedGraph:
     def test_single_edge_forced(self):
@@ -248,6 +277,21 @@ class TestValidate:
     def test_bool_neighbor(self):
         g = PortLabeledGraph(2, ((True,), (0,)))
         assert validate(g) == ["node 0 port 1: neighbor True out of range"]
+
+    def test_asymmetry_strings(self):
+        assert validate(PortLabeledGraph(3, ((1,), (2,), (1,)))) == [
+            "edge 0-1: 1 lists 0 0 times (asymmetry)"]
+        assert validate(PortLabeledGraph(4, ((1, 2, 3), (0,), (1,), (0, 2)))) == [
+            "edge 0-2: 2 lists 0 0 times (asymmetry)",
+            "edge 2-1: 1 lists 2 0 times (asymmetry)",
+            "edge 3-2: 2 lists 3 0 times (asymmetry)",
+        ]
+
+    def test_no_nodes(self):
+        assert validate(PortLabeledGraph(0, ())) == ["node count 0 is not positive"]
+
+    def test_row_count(self):
+        assert validate(PortLabeledGraph(2, ((1,),))) == ["port_map has 1 rows for 2 nodes"]
 
 
 class TestRelabel:
@@ -317,6 +361,40 @@ class TestSerialization:
     def test_duplicate_field(self):
         with pytest.raises(GraphParseError, match="duplicate"):
             deserialize('{"n":2,"n":2,"ports":[[1],[0]]}')
+
+    def test_first_duplicated_field_named(self):
+        with pytest.raises(GraphParseError, match="^duplicate field 'a'$"):
+            deserialize('{"a":1,"b":2,"b":3,"a":4}')
+
+    def test_many_fields_rejected_quickly(self):
+        # 20,000 unknown fields took 7 s when each key was counted in a list
+        fields = ",".join(f'"f{i}":0' for i in range(20_000))
+        start = time.perf_counter()
+        with pytest.raises(GraphParseError, match="^unknown field 'f0'$"):
+            deserialize('{"n":2,"ports":[[1],[0]],' + fields + "}")
+        assert time.perf_counter() - start < 2.0
+
+    def test_dense_round_trip_quickly(self):
+        # K_600 took 3.9 s when validate counted each arc's reverse in a row
+        n = 600
+        g = PortLabeledGraph(n, tuple(tuple(w for w in range(n) if w != v)
+                                      for v in range(n)))
+        text = serialize(g)
+        start = time.perf_counter()
+        assert deserialize(text) == g
+        assert time.perf_counter() - start < 2.0
+
+    @pytest.mark.parametrize("text, message", [
+        ("[]", "^top level is not an object$"),
+        ('{"n":"2","ports":[[1],[0]]}', "^field 'n' must be an integer, got '2'$"),
+        ('{"n":2.0,"ports":[[1],[0]]}', "^field 'n' must be an integer, got 2.0$"),
+        ('{"n":true,"ports":[[1],[0]]}', "^field 'n' must be an integer, got True$"),
+        ('{"n":1,"ports":[1]}', "^field 'ports' must be a list of lists$"),
+        ('{"n":1,"ports":{}}', "^field 'ports' must be a list of lists$"),
+    ])
+    def test_malformed_document(self, text, message):
+        with pytest.raises(GraphParseError, match=message):
+            deserialize(text)
 
     def test_non_integer_entry(self):
         with pytest.raises(GraphParseError):
