@@ -13,6 +13,8 @@ Before the node can send the walk inward k times it must send it outward
 at least k times, which compounds along the path into a quadratic number
 of steps: at least (n-1)^2 before the target is reached, with the arc out
 of the start endpoint crossed at least n-1 times.
+One running count of 1s among the exits labels every node, so building
+the labeling costs O(n).
 
 Clique construction. For a degree budget d, some port p appears at most
 d-1 times among the agent's first d(d-1) exits at degree d (pigeonhole).
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .agents import PortFunction, derive_port_function
@@ -74,15 +77,15 @@ def majority_element(seq: Sequence[int], k: int) -> int:
 
     An odd prefix of 2k-1 values makes existence certain and a tie
     impossible. A prefix longer than the available sequence raises
-    HorizonExceededError.
+    HorizonExceededError. This is the rule for one k; the path labeling
+    applies it to every k in one pass.
     """
     need = 2 * whole(k, "k", InvalidSizeError, 1) - 1
     if need > len(seq):
         raise HorizonExceededError(
             f"need {need} sequence values, have {len(seq)}"
         )
-    ones = sum(1 for x in seq[:need] if x == 1)
-    return 1 if ones >= k else 2
+    return 1 if seq[:need].count(1) >= k else 2
 
 
 def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
@@ -92,10 +95,14 @@ def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     agent's first 2(i-1)-1 degree-2 exits away from the target endpoint
     v_1. Needs the degree-2 sequence up to index 2(n-2)-1; scripted agents
     that cannot answer that far raise HorizonExceededError.
+
+    One O(n) pass: ones[j] counts the 1s among the first j+1 exits, so
+    majority_element(prefix, k) is 1 exactly when ones[2k-2] >= k.
     """
     whole(n, "n", InvalidSizeError, 2)
     prefix = derive_port_function(agent, 2, max(2 * (n - 2) - 1, 0))
-    toward_far = tuple(majority_element(prefix, i - 1) for i in range(2, n))
+    ones = list(accumulate(int(x == 1) for x in prefix))
+    toward_far = tuple(1 if ones[2 * k - 2] >= k else 2 for k in range(1, n - 1))
     return PathLabeling(n, toward_far)
 
 

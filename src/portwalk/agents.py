@@ -251,12 +251,11 @@ class WhiteboardAgent(PortFunction):
         port_d(k) runs exactly k transitions. Raises AgentViolationError.
         """
         budget = self.budget(d)
-        limit = None if budget is None else 1 << budget
         state, port = self.initial_state, None
         while True:  # check the initial state, then every state a transition returns
             if not is_whole(state, 0):
                 raise AgentViolationError(f"node state {state!r} is not a non-negative int")
-            if limit is not None and state >= limit:
+            if budget is not None and state.bit_length() > budget:
                 raise AgentViolationError(
                     f"node state {state} needs more than {budget} bits at degree {d}"
                 )
@@ -287,6 +286,10 @@ def whiteboard_rotor_router() -> WhiteboardAgent:
 
 
 def memory_lower_bound_check(memory_bits: int, d: int) -> bool:
-    """Whether memory_bits bits can distinguish the d inputs a degree-d node needs."""
+    """Whether memory_bits bits can distinguish the d inputs a degree-d node needs.
+
+    That is 2^memory_bits >= d, decided on bit lengths so that a large
+    budget builds no large int.
+    """
     whole(memory_bits, "memory_bits", InvalidSizeError, 0)
-    return (1 << memory_bits) >= whole(d, "d", InvalidSizeError, 1)
+    return memory_bits >= (whole(d, "d", InvalidSizeError, 1) - 1).bit_length()

@@ -46,22 +46,27 @@ class PortLabeledGraph:
     def m(self) -> int:
         return sum(len(row) for row in self.port_map) // 2
 
+    def node(self, v: int) -> int:
+        """v itself if it is a node id (an int, not a bool, in 0..n-1);
+        else raises InvalidVertexError."""
+        return whole(v, "node", InvalidVertexError, 0, self.n - 1)
+
     def degree(self, v: int) -> int:
-        return len(self.port_map[v])
+        return len(self.port_map[self.node(v)])
 
     def neighbor(self, v: int, port: int) -> int:
         """Node reached by leaving v through the given 1-based port."""
-        row = self.port_map[v]
+        row = self.port_map[self.node(v)]
         if not is_whole(port, 1, len(row)):
             raise InvalidPortError(f"node {v} has no port {port} (degree {len(row)})")
         return row[port - 1]
 
     def port_to(self, u: int, v: int) -> int:
         """Port at u whose edge leads to v (unique in a simple graph)."""
-        try:
-            return self.port_map[u].index(v) + 1
-        except ValueError:
-            raise InvalidVertexError(f"{v} is not a neighbor of {u}") from None
+        row = self.port_map[self.node(u)]
+        if self.node(v) not in row:
+            raise InvalidVertexError(f"{v} is not a neighbor of {u}")
+        return row.index(v) + 1
 
 
 def _as_graph(n: int, rows: Iterable[Sequence[int]]) -> PortLabeledGraph:
@@ -183,23 +188,25 @@ def random_connected_graph(n: int, m: int, seed: int) -> PortLabeledGraph:
     A random spanning tree guarantees connectivity, then extra edges are
     drawn uniformly from the remaining non-edges; finally each node's
     neighbor ordering (its port assignment) is shuffled. Deterministic
-    for a fixed (n, m, seed).
+    for a fixed (n, m, seed). An edge {a < b} is kept as the int a*n + b,
+    whose order is that of the pair (a, b).
     """
     whole(n, "n", InvalidSizeError, 1)
     whole(m, "m", InvalidSizeError, n - 1, n * (n - 1) // 2)
     rng = Random(seed)
     order = list(range(n))
     rng.shuffle(order)
-    edges: set[tuple[int, int]] = set()
+    edges: set[int] = set()
     for idx in range(1, n):
         a, b = order[idx], order[rng.randrange(idx)]
-        edges.add((min(a, b), max(a, b)))
+        edges.add(a * n + b if a < b else b * n + a)
     while len(edges) < m:
         a, b = rng.randrange(n), rng.randrange(n)
         if a != b:
-            edges.add((min(a, b), max(a, b)))
+            edges.add(a * n + b if a < b else b * n + a)
     adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in sorted(edges):
+    for key in sorted(edges):
+        a, b = divmod(key, n)
         adj[a].append(b)
         adj[b].append(a)
     for row in adj:
@@ -220,7 +227,7 @@ def relabel(g: PortLabeledGraph, perm: Sequence[int]) -> PortLabeledGraph:
 def bfs_distances(g: PortLabeledGraph, start: int) -> list[int | None]:
     """Hop distances from start; None marks unreachable nodes."""
     dist: list[int | None] = [None] * g.n
-    dist[start] = 0
+    dist[g.node(start)] = 0
     queue = deque([start])
     while queue:
         v = queue.popleft()

@@ -200,9 +200,9 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
 
 def arc_traversals(trace: SimulationTrace, u: int, v: int) -> int:
     """How many of the recorded moves crossed the arc u -> v."""
-    n = trace.graph.n
-    row = trace.graph.port_map[whole(u, "node", InvalidVertexError, 0, n - 1)]
-    if whole(v, "node", InvalidVertexError, 0, n - 1) not in row:
+    g = trace.graph
+    row = g.port_map[g.node(u)]
+    if g.node(v) not in row:
         raise InvalidArcError(f"({u}, {v}) is not an arc of the graph")
     return _moves(trace).count((u, row.index(v) + 1))
 
@@ -213,7 +213,7 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
     The start occupancy counts at step 0, every arrival at its step.
     step_limit may not exceed the number of executed steps.
     """
-    whole(v, "node", InvalidVertexError, 0, trace.graph.n - 1)
+    trace.graph.node(v)
     whole(step_limit, "step limit", InvalidLimitError, 0, trace.steps)
     if step_limit == trace.steps:
         # Every occupancy but the last ended in a move.
@@ -227,7 +227,7 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
 
 def outports_taken(trace: SimulationTrace, v: int) -> list[int]:
     """Sequence of outports the run used when leaving v, in order."""
-    whole(v, "node", InvalidVertexError, 0, trace.graph.n - 1)
+    trace.graph.node(v)
     return [p for node, p in _moves(trace) if node == v]
 
 

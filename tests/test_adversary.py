@@ -35,6 +35,7 @@ from portwalk.errors import (
 )
 from portwalk.experiments import battery
 from portwalk.graphs import (
+    PathLabeling,
     build_clique_pendant,
     build_path,
     deserialize,
@@ -370,15 +371,65 @@ class TestUniversality:
         assert r.passed
         assert r.v_star_visits <= r.v_star_budget
 
-    @given(cyclic_tables(2), st.integers(3, 30))
+    @given(cyclic_tables(2), st.integers(3, 300))
     @settings(max_examples=60, deadline=None)
     def test_labeling_matches_majority_rule(self, tables, n):
         agent = ScriptedPortFunction(tables, "cycle")
         labeling = worst_case_path_labeling(agent, n)
-        prefix = [agent.outport(2, i) for i in range(1, 2 * (n - 2))]
-        for i in range(2, n):
-            want = majority_element(prefix, i - 1)
-            assert labeling.toward_far[i - 2] == want
+        assert labeling.toward_far == majority_rule_labeling(agent, n)
+
+
+def majority_rule_labeling(agent, n):
+    """The path labeling by its definition: v_i takes majority_element of the
+    first 2(i-1)-1 degree-2 exits, each node counted on its own."""
+    prefix = [agent.outport(2, i) for i in range(1, 2 * (n - 2))]
+    return tuple(majority_element(prefix, i - 1) for i in range(2, n))
+
+
+def assert_labeling_matches_rule(agent, n):
+    """worst_case_path_labeling gives the rule's labels, or raises the same
+    HorizonExceededError as reading the rule's exits one by one."""
+    try:
+        want = majority_rule_labeling(agent, n)
+    except HorizonExceededError as e:
+        with pytest.raises(HorizonExceededError) as got:
+            worst_case_path_labeling(agent, n)
+        assert str(got.value) == str(e)
+        return False
+    assert worst_case_path_labeling(agent, n) == PathLabeling(n, want)
+    return True
+
+
+class TestLabelingMatchesDefinition:
+    """The one-pass labeling against majority_element applied node by node."""
+
+    @given(st.lists(st.integers(1, 6), min_size=1, max_size=12), st.integers(2, 300))
+    @settings(max_examples=60, deadline=None)
+    def test_cyclic_patterns(self, pattern, n):
+        assert assert_labeling_matches_rule(CyclicAgent(pattern), n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 32, 150, 299, 300])
+    def test_battery_and_whiteboard_rotor(self, n):
+        for agent in [*battery().values(), whiteboard_rotor_router()]:
+            assert assert_labeling_matches_rule(agent, n)
+
+    @given(st.lists(st.integers(1, 2), min_size=1, max_size=120), st.integers(2, 70))
+    @settings(max_examples=80, deadline=None)
+    def test_fail_scripts(self, table, n):
+        finished = assert_labeling_matches_rule(ScriptedPortFunction({2: table}, "fail"), n)
+        assert finished == (len(table) >= 2 * (n - 2) - 1)
+
+    @pytest.mark.parametrize("n", [4, 5, 17, 300])
+    def test_fail_script_at_its_horizon(self, n):
+        # exactly 2(n-2)-1 entries label the n-node path; one fewer cannot
+        need = 2 * (n - 2) - 1
+        table = [(3 * i) % 5 % 2 + 1 for i in range(need)]
+        assert assert_labeling_matches_rule(ScriptedPortFunction({2: table}, "fail"), n)
+        short = ScriptedPortFunction({2: table[:-1]}, "fail")
+        assert not assert_labeling_matches_rule(short, n)
+        with pytest.raises(HorizonExceededError,
+                           match=f"^degree-2 table has {need - 1} entries, visit {need} requested$"):
+            worst_case_path_labeling(short, n)
 
 
 class TestInternalErrorPaths:

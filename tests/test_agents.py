@@ -2,6 +2,7 @@
 
 import enum
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -327,6 +328,40 @@ class TestMemoryLowerBound:
     @given(st.integers(0, 12), st.integers(1, 2048))
     def test_agrees_with_powers(self, bits, d):
         assert memory_lower_bound_check(bits, d) == (2 ** bits >= d)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 2 ** 40, 2 ** 40 + 1])
+    def test_huge_budget_builds_no_huge_int(self, d):
+        # 1 << 10**8 alone would take 12.5 MB
+        tracemalloc.start()
+        try:
+            assert memory_lower_bound_check(10 ** 8, d) is True
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+
+class TestStateBudget:
+    @pytest.mark.parametrize("bits", range(6))
+    def test_largest_state_within_budget(self, bits):
+        # states 0..2^bits - 1 fit in bits bits; 2^bits is the first that does not
+        top = (1 << bits) - 1
+        a = WhiteboardAgent(lambda s, d: (s + 1, 1), initial_state=top, memory_bits=bits)
+        assert derive_port_function(a, 2, 0) == []
+        with pytest.raises(AgentViolationError,
+                           match=f"^node state {top + 1} needs more than {bits} bits "):
+            derive_port_function(a, 2, 1)
+
+    def test_huge_budget_builds_no_huge_int(self):
+        a = WhiteboardAgent(lambda s, d: (s * 2 + 1, 1), initial_state=1,
+                            memory_bits=10 ** 8)
+        tracemalloc.start()
+        try:
+            assert derive_port_function(a, 3, 50) == [1] * 50
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class Port(enum.IntEnum):

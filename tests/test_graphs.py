@@ -1,5 +1,6 @@
 """Graph model: builders, invariants, validation, serialization."""
 
+import hashlib
 import time
 from random import Random
 
@@ -214,6 +215,30 @@ class TestAccessors:
         with pytest.raises(InvalidVertexError, match="^2 is not a neighbor of 0$"):
             build_path(PathLabeling(3, (1,))).port_to(0, 2)
 
+    @pytest.mark.parametrize("v, message", [
+        (-1, "^node must be in 0..3, got -1$"),
+        (4, "^node must be in 0..3, got 4$"),
+        (9, "^node must be in 0..3, got 9$"),
+        (True, "^node must be an integer, got True$"),
+        (1.0, "^node must be an integer, got 1.0$"),
+    ], ids=repr)
+    def test_readers_reject_bad_nodes(self, v, message):
+        # a negative index would read node 3's row, and True node 1's
+        g = build_path(PathLabeling(4, (1, 1)))
+        readers = [lambda: g.degree(v), lambda: g.neighbor(v, 1),
+                   lambda: g.port_to(v, 1), lambda: g.port_to(2, v),
+                   lambda: bfs_distances(g, v)]
+        for read in readers:
+            with pytest.raises(InvalidVertexError, match=message):
+                read()
+
+    def test_readers_accept_every_node(self):
+        g = build_path(PathLabeling(4, (1, 1)))
+        assert [g.degree(v) for v in range(4)] == [1, 2, 2, 1]
+        assert [g.neighbor(v, 1) for v in range(4)] == [1, 2, 3, 2]
+        assert g.port_to(3, 2) == 1 and g.port_to(1, 0) == 2
+        assert bfs_distances(g, 3) == [3, 2, 1, 0]
+
 
 class TestRandomConnectedGraph:
     def test_single_edge_forced(self):
@@ -236,6 +261,20 @@ class TestRandomConnectedGraph:
     def test_deterministic(self):
         assert random_connected_graph(8, 12, seed=42) == \
             random_connected_graph(8, 12, seed=42)
+
+    def test_documents_golden(self):
+        # SHA-256 of serialize() over one node, spanning trees, complete
+        # graphs and the cli-trace sizes (m = 2n). A faster generator must
+        # draw the same numbers in the same order and keep these bytes.
+        cases = [(1, 0, s) for s in (0, 1, 2)]
+        cases += [(n, n - 1, s) for n in (2, 3, 17, 200) for s in (0, 5)]
+        cases += [(n, n * (n - 1) // 2, s) for n in (2, 3, 9, 40) for s in (0, 5)]
+        cases += [(n, 2 * n, s) for n in (800, 1600, 2500) for s in (0, 1, 2 ** 31 - 1)]
+        h = hashlib.sha256()
+        for n, m, seed in cases:
+            h.update(serialize(random_connected_graph(n, m, seed)).encode())
+        assert h.hexdigest() == (
+            "360636866fb42f9fd3acae205306373565f005f6fff8a89181dae916c2422897")
 
     @given(st.integers(2, 20), st.data())
     @settings(max_examples=60, deadline=None)
