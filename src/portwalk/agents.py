@@ -187,7 +187,7 @@ def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction
 
     Each degree key is a positive integer given once ("2" and "02" are the
     same degree) and each table a non-empty list of integer ports.
-    "extension" accepts "cycle" or "fail".
+    "extension" accepts "cycle" or "fail"; no other field is allowed.
     """
     def unique_keys(pairs):
         seen = set()
@@ -205,6 +205,9 @@ def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction
         raise ValueError("agent script is nested too deeply") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("tables"), dict):
         raise ValueError("agent script must be an object whose 'tables' is an object")
+    extra = set(doc) - {"tables", "extension"}
+    if extra:
+        raise ValueError(f"unknown field '{sorted(extra)[0]}'")
     tables = {}
     for key, entries in doc["tables"].items():
         if not (key.isascii() and key.isdigit()) or int(key) < 1:

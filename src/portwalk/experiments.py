@@ -7,6 +7,7 @@ failed; identical invocations produce byte-identical output.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,7 +22,7 @@ from .adversary import (
 )
 from .errors import InvalidLimitError, InvalidSizeError, whole
 from .graphs import PathLabeling, diameter, random_connected_graph
-from .simulate import _cap, run
+from .simulate import _cap, _successors, run
 
 
 def battery() -> dict[str, PortFunction]:
@@ -67,12 +68,16 @@ class ExperimentReport:
         return self.aggregate == "pass"
 
     def to_csv(self) -> str:
-        lines = ["experiment,agent,n,param,bound,measured,verdict"]
-        for r in self.rows:
-            lines.append(f"{r.experiment},{r.agent},{r.n},{r.param},"
-                         f"{r.bound},{r.measured},{r.verdict}")
-        lines.append(f"aggregate,,,,,,{self.aggregate}")
-        return "\n".join(lines) + "\n"
+        """The rows under a header, then the aggregate row; a field holding
+        a comma, a quote or a line break is quoted, as csv.writer does."""
+        import csv  # here, not at the top: only reports need it, and it slows import
+
+        out = io.StringIO()
+        w = csv.writer(out, lineterminator="\n")
+        w.writerow(["experiment", "agent", "n", "param", "bound", "measured", "verdict"])
+        w.writerows(vars(r).values() for r in self.rows)
+        w.writerow(["aggregate", "", "", "", "", "", self.aggregate])
+        return out.getvalue()
 
     def to_json(self) -> str:
         doc = {
@@ -113,7 +118,9 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     walk from v_n reaches v_i before any of v_(i-1)..v_1, so up to its
     first arrival at v_i it depends only on the labels of v_(i+1)..v_(n-1).
     There the search branches on v_i's label and each branch continues
-    from a copy of the walk state. A branch that hits the cap before its
+    from a copy of the walk state, forking run()'s walk: it steps on
+    successor rows from simulate._successors, and the branch sets v_i's
+    row to the one for its label. A branch that hits the cap before its
     next new node v_(i-1) counts all 2^(i-2) labelings below it as
     unstopped at once. Among labelings of equal worst cost the result
     keeps the lexicographically smallest toward_far (the first in the
@@ -124,33 +131,29 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     """
     whole(n, "n", InvalidSizeError, 2, 14)
     cap = _cap(cap, n)
-    # port_d(i) is ports1[(i - 1) % period1] at d = 1 and likewise at d = 2.
-    # (n = 2 has no degree-2 node.)
+    # Node v_k has id k - 1. succ[l][v] is v's successor row when label[v],
+    # its toward_far, is l; v_n's row stands under 0, the root's label.
     ports1 = port_sequence(agent, 1)
-    ports2 = port_sequence(agent, 2) if n > 2 else ports1
-    period1, period2 = len(ports1), len(ports2)
-
-    # Node v_k has id k - 1. label[v] is toward_far of internal node v;
-    # the walk leaves v for v + 1 exactly when it takes port label[v].
+    ports2 = port_sequence(agent, 2) if n > 2 else ports1  # none at n = 2
     top = n - 1
-    label = [0] * n
+    lens = [len(ports2)] * top + [len(ports1)]
+    succ = ({top: _successors((top - 1,), ports1)},
+            {v: _successors((v + 1, v - 1), ports2) for v in range(1, top)},
+            {v: _successors((v - 1, v + 1), ports2) for v in range(1, top)})
+    rows, label = [None] * n, [0] * n
     worst: tuple[int, tuple[int, ...]] | None = None  # (-steps, toward_far)
     unstopped = 0
     error: tuple[tuple[int, ...], Exception] | None = None
-    # (j, label of j, current node, visit counts, steps): a walk whose
-    # lowest node so far is j, with labels fixed on j..n-2.
-    stack = [(top, 0, top, [0] * top + [1], 0)]
+    # (j, label of j, visit counts, steps): a walk at j, its lowest node yet.
+    stack = [(top, 0, [0] * top + [1], 0)]
     while stack:
-        j, label_j, cur, counts, steps = stack.pop()
+        j, label_j, counts, steps = stack.pop()
         label[j] = label_j
+        rows[j] = succ[label_j][j]
+        cur = j
         try:
             while steps < cap:
-                c = counts[cur]
-                if cur == top:
-                    ports1[(c - 1) % period1]  # always 1; read for its check
-                    cur -= 1
-                else:
-                    cur += 1 if ports2[(c - 1) % period2] == label[cur] else -1
+                cur = rows[cur][counts[cur] % lens[cur] - 1]
                 steps += 1
                 counts[cur] += 1
                 if cur < j:
@@ -169,8 +172,8 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
             if worst is None or leaf < worst:
                 worst = leaf
         else:
-            stack.append((cur, 2, cur, counts.copy(), steps))
-            stack.append((cur, 1, cur, counts, steps))
+            stack.append((cur, 2, counts.copy(), steps))
+            stack.append((cur, 1, counts, steps))
     if error is not None:
         raise error[1]
     if worst is None:

@@ -215,7 +215,13 @@ def random_connected_graph(n: int, m: int, seed: int) -> PortLabeledGraph:
 
 
 def relabel(g: PortLabeledGraph, perm: Sequence[int]) -> PortLabeledGraph:
-    """Apply a node-id permutation; perm[v] is v's new id. Ports move along."""
+    """Apply a node-id permutation; perm[v] is v's new id. Ports move along.
+
+    Raises InvalidVertexError unless every entry is an int (not a bool)
+    and perm holds each of 0..n-1 once.
+    """
+    for p in perm:
+        whole(p, "perm entry", InvalidVertexError)
     if sorted(perm) != list(range(g.n)):
         raise InvalidVertexError("perm is not a permutation of node ids")
     rows: list[tuple[int, ...]] = [()] * g.n

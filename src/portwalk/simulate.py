@@ -24,6 +24,9 @@ node's before the first step), so a short walk on a large graph builds
 only the rows it uses. A recorded walk also gives each visited node an
 exit row of shared (node, port) tuples, one per arc, so recording a step
 appends an 8-byte pointer; export_trace joins the step rows in chunks.
+_successors builds every row, for run() and for the path brute force
+(experiments.brute_force_path_worst_case), which forks this walk and
+takes the same step on rows it sets per labeling.
 Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 

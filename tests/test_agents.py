@@ -135,6 +135,14 @@ class TestScripted:
         with pytest.raises(ValueError):
             load_agent_script('{"no_tables": 1}')
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"tables": {"2": [1]}, "extensoin": "fail"}', "extensoin"),
+        ('{"tables": {"2": [1]}, "extension": "cycle", "name": "x"}', "name"),
+    ])
+    def test_load_script_rejects_unknown_field(self, doc, field):
+        with pytest.raises(ValueError, match=f"^unknown field '{field}'$"):
+            load_agent_script(doc)
+
 
 class TestDerivePortFunction:
     def test_whiteboard_rotor_degree_two(self):

@@ -1,5 +1,7 @@
 """Command-line interface: flags, outputs, exit codes."""
 
+import csv
+import io
 import json
 import re
 import shlex
@@ -149,6 +151,7 @@ class TestSimulateCommand:
         '{"tables": {"-2": [1]}}',
         '{"tables": {"two": [1]}}',
         '{"tables": {"2": []}}',
+        '{"tables": {"2": [1]}, "extensoin": "fail"}',
     ])
     def test_malformed_agent_script(self, path_graph_file, tmp_path, doc, capsys):
         f = tmp_path / "agent.json"
@@ -188,6 +191,15 @@ class TestAdversaryPathCommand:
 
     def test_unknown_agent(self):
         assert main(["adversary-path", "--agent", "bogus", "--n", "5"]) == 2
+
+    @pytest.mark.parametrize("name", ["a,b", 'say "hi"'])
+    def test_agent_name_is_one_csv_field(self, tmp_path, name, capsys):
+        f = tmp_path / f"{name}.json"
+        f.write_text('{"tables": {"2": [1, 2]}}')
+        assert main(["adversary-path", "--agent", str(f), "--n", "5"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 4 and all(len(row) == 7 for row in rows)
+        assert [row[1] for row in rows[1:3]] == [name, name]
 
 
 class TestAdversaryCubicCommand:

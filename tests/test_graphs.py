@@ -350,6 +350,20 @@ class TestRelabel:
         with pytest.raises(InvalidVertexError):
             relabel(g, [0, 0, 1])
 
+    @pytest.mark.parametrize("perm", [[0, 0, 1], [0, 1], [0, 1, 3], [-1, 0, 1]], ids=repr)
+    def test_non_permutation_message(self, perm):
+        g = build_path(PathLabeling(3, (1,)))
+        with pytest.raises(InvalidVertexError,
+                           match="^perm is not a permutation of node ids$"):
+            relabel(g, perm)
+
+    @pytest.mark.parametrize("perm", [[True, False, 2], [0.0, 1.0, 2.0], [0, 1, None]],
+                             ids=repr)
+    def test_non_int_entries_rejected(self, perm):
+        g = build_path(PathLabeling(3, (1,)))
+        with pytest.raises(InvalidVertexError, match="^perm entry must be an integer, got "):
+            relabel(g, perm)
+
 
 class TestBfs:
     def test_distances_on_path(self):
