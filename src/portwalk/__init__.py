@@ -24,7 +24,6 @@ from .adversary import (
     PathBoundReport,
     build_cubic_instance,
     export_instance,
-    majority_element,
     rare_port,
     select_v_star,
     verify_cubic_bound,

@@ -72,22 +72,6 @@ class AdversarialInstance:
         whole(self.certified_bound, "certified bound", InvalidSizeError, 1)
 
 
-def majority_element(seq: Sequence[int], k: int) -> int:
-    """Value in {1, 2} occurring at least k times among seq's first 2k-1.
-
-    An odd prefix of 2k-1 values makes existence certain and a tie
-    impossible. A prefix longer than the available sequence raises
-    HorizonExceededError. This is the rule for one k; the path labeling
-    applies it to every k in one pass.
-    """
-    need = 2 * whole(k, "k", InvalidSizeError, 1) - 1
-    if need > len(seq):
-        raise HorizonExceededError(
-            f"need {need} sequence values, have {len(seq)}"
-        )
-    return 1 if seq[:need].count(1) >= k else 2
-
-
 def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     """Labeling of an n-node path that stalls this agent the longest.
 
@@ -97,7 +81,7 @@ def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     that cannot answer that far raise HorizonExceededError.
 
     One O(n) pass: ones[j] counts the 1s among the first j+1 exits, so
-    majority_element(prefix, k) is 1 exactly when ones[2k-2] >= k.
+    the majority of the first 2k-1 exits is 1 exactly when ones[2k-2] >= k.
     """
     whole(n, "n", InvalidSizeError, 2)
     prefix = derive_port_function(agent, 2, max(2 * (n - 2) - 1, 0))

@@ -46,6 +46,8 @@ def resolve_agent(name_or_path: str) -> agents_mod.PortFunction:
         )
     try:
         return agents_mod.load_agent_script(path.read_text(), name=path.stem)
+    except OSError as e:
+        raise UsageError(f"cannot read agent script {name_or_path}: {e}") from e
     except (ValueError, PortWalkError) as e:
         raise UsageError(f"bad agent script {name_or_path}: {e}") from e
 

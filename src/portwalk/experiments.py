@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import io
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -21,7 +21,7 @@ from .adversary import (
     verify_path_bound,
 )
 from .errors import InvalidLimitError, InvalidSizeError, whole
-from .graphs import PathLabeling, diameter, random_connected_graph
+from .graphs import PathLabeling, build_path, diameter, random_connected_graph
 from .simulate import _cap, _successors, run
 
 
@@ -119,37 +119,37 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     first arrival at v_i it depends only on the labels of v_(i+1)..v_(n-1).
     There the search branches on v_i's label and each branch continues
     from a copy of the walk state, forking run()'s walk: it steps on
-    successor rows from simulate._successors, and the branch sets v_i's
-    row to the one for its label. A branch that hits the cap before its
-    next new node v_(i-1) counts all 2^(i-2) labelings below it as
-    unstopped at once. Among labelings of equal worst cost the result
-    keeps the lexicographically smallest toward_far (the first in the
-    order of itertools.product((1, 2), ...)). If some walks raise, the
+    successor rows that simulate._successors builds over build_path's rows
+    of the all-1 and all-2 labelings, and the branch sets v_i's row to the
+    one for its label. A branch that hits the cap before its next new
+    node v_(i-1) counts all 2^(i-2) labelings below it as unstopped at
+    once. Among labelings of equal worst cost the result keeps the
+    lexicographically smallest toward_far (the first in the order of
+    itertools.product((1, 2), ...)). If some walks raise, the
     error raised is that of the first such labeling in the same order.
     An agent whose ports(d) is an iterator is advanced once per index
     that some walk reaches.
     """
     whole(n, "n", InvalidSizeError, 2, 14)
     cap = _cap(cap, n)
-    # Node v_k has id k - 1. succ[l][v] is v's successor row when label[v],
-    # its toward_far, is l; v_n's row stands under 0, the root's label.
-    ports1 = port_sequence(agent, 1)
-    ports2 = port_sequence(agent, 2) if n > 2 else ports1  # none at n = 2
+    # Node v_k has id k - 1. succ[l - 1][v] is v's successor row when
+    # label[v], its toward_far, is l: v's row in the all-l path.
+    paths = [build_path(PathLabeling(n, (l,) * (n - 2))).port_map for l in (1, 2)]
+    by_degree = {d: port_sequence(agent, d) for d in sorted({len(r) for r in paths[0]})}
+    ports = [by_degree[len(row)] for row in paths[0]]
+    lens = [len(seq) for seq in ports]
+    succ = [[_successors(row, seq) for row, seq in zip(p, ports)] for p in paths]
     top = n - 1
-    lens = [len(ports2)] * top + [len(ports1)]
-    succ = ({top: _successors((top - 1,), ports1)},
-            {v: _successors((v + 1, v - 1), ports2) for v in range(1, top)},
-            {v: _successors((v - 1, v + 1), ports2) for v in range(1, top)})
     rows, label = [None] * n, [0] * n
     worst: tuple[int, tuple[int, ...]] | None = None  # (-steps, toward_far)
     unstopped = 0
     error: tuple[tuple[int, ...], Exception] | None = None
     # (j, label of j, visit counts, steps): a walk at j, its lowest node yet.
-    stack = [(top, 0, [0] * top + [1], 0)]
+    stack = [(top, 1, [0] * top + [1], 0)]
     while stack:
         j, label_j, counts, steps = stack.pop()
         label[j] = label_j
-        rows[j] = succ[label_j][j]
+        rows[j] = succ[label_j - 1][j]
         cur = j
         try:
             while steps < cap:
@@ -249,11 +249,14 @@ def rotor_upper_bound_sweep(cases: Sequence[tuple[int, int, int]],
     Each case is (n, m, seed); the rotor-router runs from node 0 to full
     coverage and the row passes when cover time <= factor * m * diameter.
     The factor is a configured assumption, not a derived constant, and is
-    echoed in the report. Failing to cover at all is a hard fail: the
-    rotor-router covers every connected graph.
+    echoed in the report. It must be an int or a float (not a bool), and
+    factor * m * diameter must stay within the floats for every case.
+    Failing to cover at all is a hard fail: the rotor-router covers every
+    connected graph.
     """
-    if not (math.isfinite(factor) and factor > 0):
-        raise InvalidLimitError(f"factor must be positive and finite, got {factor}")
+    if (isinstance(factor, bool) or not isinstance(factor, (int, float))
+            or not 0 < factor <= sys.float_info.max):
+        raise InvalidLimitError(f"factor must be a positive finite number, got {factor!r}")
     report = ExperimentReport(
         "rotor-upper",
         {"factor": factor, "cases": [list(c) for c in sorted(cases)]},
@@ -262,8 +265,11 @@ def rotor_upper_bound_sweep(cases: Sequence[tuple[int, int, int]],
     for n, m, seed in sorted(cases):
         g = random_connected_graph(n, m, seed)
         dia = diameter(g)
-        t = run(g, rotor, 0, "covered", cap=cap, record_moves=False)
         bound = factor * m * dia
+        if bound > sys.float_info.max:
+            raise InvalidLimitError(f"factor * m * D must be finite, got {factor:g} * "
+                                    f"{m * dia} for case {n},{m},{seed}")
+        t = run(g, rotor, 0, "covered", cap=cap, record_moves=False)
         if t.covered_at is None:
             measured = ""
             verdict = "fail"

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_modules import load
 from portwalk.adversary import (
     build_cubic_instance,
     export_instance,
-    majority_element,
     rare_port,
     select_v_star,
     verify_cubic_bound,
@@ -44,6 +44,8 @@ from portwalk.graphs import (
 )
 from portwalk.simulate import arc_traversals, export_trace, run, visit_count_upto
 
+ORACLES = load("oracles")
+
 ROTOR = RotorRouter()
 ALWAYS_1 = CyclicAgent((1,), name="always-1")
 BATTERY = [
@@ -52,23 +54,6 @@ BATTERY = [
     CyclicAgent((2, 1), name="alternating-2"),
     CyclicAgent((1, 1, 2), name="biased-112"),
 ]
-
-
-class TestMajorityElement:
-    def test_counts_prefix(self):
-        assert majority_element([1, 2, 1, 2, 2], 2) == 1
-
-    def test_single_element(self):
-        assert majority_element([2], 1) == 2
-
-    def test_prefix_longer_than_sequence(self):
-        with pytest.raises(HorizonExceededError):
-            majority_element([1], 2)
-
-    @pytest.mark.parametrize("k", [0, -1])
-    def test_k_must_be_positive(self, k):
-        with pytest.raises(InvalidSizeError, match="^k must be at least 1"):
-            majority_element([1, 2, 2], k)
 
 
 class TestWorstCasePathLabeling:
@@ -375,61 +360,59 @@ class TestUniversality:
     @settings(max_examples=60, deadline=None)
     def test_labeling_matches_majority_rule(self, tables, n):
         agent = ScriptedPortFunction(tables, "cycle")
-        labeling = worst_case_path_labeling(agent, n)
-        assert labeling.toward_far == majority_rule_labeling(agent, n)
+        assert_labeling_matches_oracle(agent, {2: tables[2]}, n)
 
 
-def majority_rule_labeling(agent, n):
-    """The path labeling by its definition: v_i takes majority_element of the
-    first 2(i-1)-1 degree-2 exits, each node counted on its own."""
-    prefix = [agent.outport(2, i) for i in range(1, 2 * (n - 2))]
-    return tuple(majority_element(prefix, i - 1) for i in range(2, n))
-
-
-def assert_labeling_matches_rule(agent, n):
-    """worst_case_path_labeling gives the rule's labels, or raises the same
-    HorizonExceededError as reading the rule's exits one by one."""
-    try:
-        want = majority_rule_labeling(agent, n)
-    except HorizonExceededError as e:
-        with pytest.raises(HorizonExceededError) as got:
-            worst_case_path_labeling(agent, n)
-        assert str(got.value) == str(e)
-        return False
+def assert_labeling_matches_oracle(agent, spec, n):
+    """worst_case_path_labeling against the oracle's labeling by the rule's
+    definition, spec being the agent's battery name or {2: its degree-2
+    period}."""
+    want = ORACLES.majority_labeling(spec, n)
     assert worst_case_path_labeling(agent, n) == PathLabeling(n, want)
-    return True
+
+
+def assert_fail_script_labeling(table, n):
+    """A fail script labels the path as its table's cycle would when the
+    table holds the 2(n-2)-1 exits the labeling reads; else the labeling
+    raises for the first visit past the table. Says which happened."""
+    agent = ScriptedPortFunction({2: table}, "fail")
+    if len(table) >= 2 * (n - 2) - 1:
+        assert_labeling_matches_oracle(agent, {2: table}, n)
+        return True
+    with pytest.raises(HorizonExceededError, match=(
+            f"^degree-2 table has {len(table)} entries, visit {len(table) + 1} requested$")):
+        worst_case_path_labeling(agent, n)
+    return False
 
 
 class TestLabelingMatchesDefinition:
-    """The one-pass labeling against majority_element applied node by node."""
+    """The one-pass labeling against oracles.majority_labeling, which counts
+    each node's prefix on its own and imports nothing from portwalk."""
 
     @given(st.lists(st.integers(1, 6), min_size=1, max_size=12), st.integers(2, 300))
     @settings(max_examples=60, deadline=None)
     def test_cyclic_patterns(self, pattern, n):
-        assert assert_labeling_matches_rule(CyclicAgent(pattern), n)
+        period = [(e - 1) % 2 + 1 for e in pattern]  # entries fold into 1..2
+        assert_labeling_matches_oracle(CyclicAgent(pattern), {2: period}, n)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 32, 150, 299, 300])
     def test_battery_and_whiteboard_rotor(self, n):
-        for agent in [*battery().values(), whiteboard_rotor_router()]:
-            assert assert_labeling_matches_rule(agent, n)
+        for name, agent in battery().items():
+            assert_labeling_matches_oracle(agent, name, n)
+        assert_labeling_matches_oracle(whiteboard_rotor_router(), "rotor-router", n)
 
     @given(st.lists(st.integers(1, 2), min_size=1, max_size=120), st.integers(2, 70))
     @settings(max_examples=80, deadline=None)
     def test_fail_scripts(self, table, n):
-        finished = assert_labeling_matches_rule(ScriptedPortFunction({2: table}, "fail"), n)
-        assert finished == (len(table) >= 2 * (n - 2) - 1)
+        assert_fail_script_labeling(table, n)
 
     @pytest.mark.parametrize("n", [4, 5, 17, 300])
     def test_fail_script_at_its_horizon(self, n):
         # exactly 2(n-2)-1 entries label the n-node path; one fewer cannot
         need = 2 * (n - 2) - 1
         table = [(3 * i) % 5 % 2 + 1 for i in range(need)]
-        assert assert_labeling_matches_rule(ScriptedPortFunction({2: table}, "fail"), n)
-        short = ScriptedPortFunction({2: table[:-1]}, "fail")
-        assert not assert_labeling_matches_rule(short, n)
-        with pytest.raises(HorizonExceededError,
-                           match=f"^degree-2 table has {need - 1} entries, visit {need} requested$"):
-            worst_case_path_labeling(short, n)
+        assert assert_fail_script_labeling(table, n)
+        assert not assert_fail_script_labeling(table[:-1], n)
 
 
 class TestInternalErrorPaths:

@@ -5,18 +5,15 @@ fails here first."""
 
 import dataclasses
 import importlib
-import importlib.util
 import inspect
-from pathlib import Path
 
 import pytest
 
+from bench_modules import load
 from portwalk.adversary import AdversarialInstance
 from portwalk.experiments import BruteForceResult, ExperimentReport
 from portwalk.graphs import PathLabeling
 from portwalk.simulate import SimulationTrace
-
-SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 # (module, function, positional args, keyword args) for every call shape
 # the workloads make, plus the keywords the tracer's counters look up.
@@ -38,10 +35,8 @@ CALLS = [
 
 
 def wrapped_names() -> list[tuple[str, str]]:
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return [(layer, name) for layer, names in spans.WRAPPED.items() for name in names]
+    return [(layer, name) for layer, names in load("spans").WRAPPED.items()
+            for name in names]
 
 
 @pytest.mark.parametrize("layer, name", wrapped_names())

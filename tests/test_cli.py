@@ -50,9 +50,15 @@ class TestHelpers:
     def test_resolve_builtin(self):
         assert resolve_agent("rotor-router").name == "rotor-router"
 
-    def test_resolve_unknown(self):
+    def test_resolve_unknown(self, path_graph_file, tmp_path, capsys):
         with pytest.raises(UsageError):
             resolve_agent("no-such-agent")
+        # a path that exists but cannot be read: a directory
+        code = main(["simulate", "--graph", path_graph_file, "--agent", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err.startswith(f"error: cannot read agent script {tmp_path}: "), err
 
     def test_resolve_script_file(self, tmp_path):
         f = tmp_path / "a.json"
@@ -282,7 +288,7 @@ class TestRotorUpperCommand:
     def test_bad_case_syntax(self):
         assert main(["rotor-upper", "--case", "10;15;3"]) == 2
 
-    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("factor", ["nan", "inf", "-inf", "1e308"])
     def test_non_finite_factor(self, factor, capsys):
         code = main(["rotor-upper", "--case", "5,6,1", f"--factor={factor}"])
         assert code == 2

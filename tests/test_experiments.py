@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_modules import load
 from portwalk.adversary import (
     build_cubic_instance,
-    majority_element,
     rare_port,
     verify_path_bound,
     worst_case_path_labeling,
@@ -49,6 +49,7 @@ from portwalk.graphs import (
 from portwalk.simulate import outports_taken, run
 
 ROTOR = RotorRouter()
+ORACLES = load("oracles")
 
 
 class TestBattery:
@@ -212,6 +213,22 @@ class TestBruteForceMatchesReference:
                 == outcome(reference_enumeration, ROTOR, 5, cap))
 
 
+class TestBruteForceMatchesOracle:
+    """The enumeration against oracles.path_worst_case, which walks every
+    labeling on paths and with a walker of its own, sharing no code with
+    portwalk."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_battery(self, n):
+        for name, agent in battery().items():
+            got = brute_force_path_worst_case(agent, n)
+            want = ORACLES.path_worst_case(name, n, cap=4 * n ** 3)
+            assert got.max_steps == want.max_steps, name
+            assert got.unstopped == want.unstopped, name
+            assert got.labeling == (None if want.labeling is None
+                                    else PathLabeling(n, want.labeling)), name
+
+
 class Counting(PortFunction):
     """Yields the agent's port_d as an iterator and records every (d, i) it
     is advanced to."""
@@ -267,7 +284,6 @@ SIZED_CALLS = {
     "rare_port": lambda: rare_port(ROTOR, 2.0),
     "build_cubic_instance": lambda: build_cubic_instance(ROTOR, 6.0),
     "brute_force": lambda: brute_force_path_worst_case(ROTOR, 4.0),
-    "majority_element": lambda: majority_element((1, 1, 1), 2.0),
     "derive_port_function": lambda: derive_port_function(ROTOR, 2, 3.0),
     "memory_bits": lambda: memory_lower_bound_check(1.5, 2),
 }
@@ -331,10 +347,19 @@ class TestRotorUpperSweep:
         with pytest.raises(ValueError):
             rotor_upper_bound_sweep([(2, 1, 0)], factor=0)
 
-    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"), True, "2", None, 2j,
+                                        pytest.param(10 ** 400, id="int-past-floats")])
     def test_rejects_non_finite_factor(self, factor):
-        with pytest.raises(InvalidLimitError):
+        with pytest.raises(InvalidLimitError, match="^factor must be a positive finite number"):
             rotor_upper_bound_sweep([(2, 1, 0)], factor=factor)
+
+    @pytest.mark.parametrize("factor", [1e308, 10 ** 308], ids=["float", "int"])
+    def test_rejects_factor_whose_bound_overflows(self, factor):
+        # 5,6,1 has m * D = 18; 2,1,0 has m * D = 1 and stays finite
+        assert rotor_upper_bound_sweep([(2, 1, 0)], factor=factor).passed
+        with pytest.raises(InvalidLimitError, match=(
+                r"^factor \* m \* D must be finite, got 1e\+308 \* 18 for case 5,6,1$")):
+            rotor_upper_bound_sweep([(2, 1, 0), (5, 6, 1)], factor=factor)
 
     def test_rows_sorted_by_case(self):
         report = rotor_upper_bound_sweep([(9, 12, 5), (4, 4, 2), (9, 10, 1)])
