@@ -121,11 +121,13 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     from a copy of the walk state, forking run()'s walk: it steps on
     successor rows that simulate._successors builds over build_path's rows
     of the all-1 and all-2 labelings, and the branch sets v_i's row to the
-    one for its label. A branch that hits the cap before its next new
-    node v_(i-1) counts all 2^(i-2) labelings below it as unstopped at
-    once. Among labelings of equal worst cost the result keeps the
-    lexicographically smallest toward_far (the first in the order of
-    itertools.product((1, 2), ...)). If some walks raise, the
+    one for its label. Like run()'s rows they are rotated by one, so visit
+    count c reads entry c % P, never a negative index (which would leave
+    CPython's specialized list subscript). A branch that hits the cap
+    before its next new node v_(i-1) counts all 2^(i-2) labelings below it
+    as unstopped at once. Among labelings of equal worst cost the result
+    keeps the lexicographically smallest toward_far (the first in the
+    order of itertools.product((1, 2), ...)). If some walks raise, the
     error raised is that of the first such labeling in the same order.
     An agent whose ports(d) is an iterator is advanced once per index
     that some walk reaches.
@@ -153,7 +155,7 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
         cur = j
         try:
             while steps < cap:
-                cur = rows[cur][counts[cur] % lens[cur] - 1]
+                cur = rows[cur][counts[cur] % lens[cur]]
                 steps += 1
                 counts[cur] += 1
                 if cur < j:

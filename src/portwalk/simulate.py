@@ -19,11 +19,14 @@ run() reads every agent through agents.port_sequence, once per degree of
 the graph, before the first step. Each node gets a successor row over its
 degree's sequence: row v lists the node reached from v on each visit
 index, so a step costs two lookups, and a periodic agent's step makes no
-call into the agent. A node's row is built on its first visit (the start
-node's before the first step), so a short walk on a large graph builds
-only the rows it uses. A recorded walk also gives each visited node an
-exit row of shared (node, port) tuples, one per arc, so recording a step
-appends an 8-byte pointer; export_trace joins the step rows in chunks.
+call into the agent. Each row is rotated by one, so visit index c of a
+period-P sequence reads entry c % P and the index is never negative: a
+negative list index leaves CPython's specialized list subscript. A
+node's row is built on its first visit (the start node's before the
+first step), so a short walk on a large graph builds only the rows it
+uses. A recorded walk also gives each visited node an exit row of
+shared (node, port) tuples, one per arc, so recording a step appends an
+8-byte pointer; export_trace joins the step rows in chunks.
 _successors builds every row, for run() and for the path brute force
 (experiments.brute_force_path_worst_case), which forks this walk and
 takes the same step on rows it sets per labeling.
@@ -76,25 +79,32 @@ def _cap(cap, n: int) -> int:
 
 
 class _Row:
-    """Successor or exit row of one node over a non-cycle port sequence."""
+    """Successor or exit row of one node over a non-cycle port sequence.
+
+    Entry i is the one behind port_d(i) = ports[i - 1], as in the rotated
+    rows _successors builds for cycles; ports is read in order.
+    """
 
     def __init__(self, row: tuple, ports: Sequence[int]):
         self.row, self.ports = row, ports
 
     def __getitem__(self, i: int):
-        return self.row[self.ports[i] - 1]
+        return self.row[self.ports[i - 1] - 1]
 
 
 def _successors(row: tuple, ports: Sequence[int]) -> Sequence:
     """The entry of row behind each visit index's port, over one period.
 
     row is a node's neighbours (its successor row) or its _arcs (its exit
-    row). A list for a cycle (a tuple), a _Row otherwise. A function rather
+    row). Entry c % P is the one behind port_d(c), P = len(ports): the
+    period is rotated by one, so visit index P reads entry 0 rather than
+    -1, as a negative list index leaves CPython's specialized subscript.
+    A list for a cycle (a tuple), a _Row otherwise. A function rather
     than a comprehension inside run(), where it would turn cur into a
     closure cell read on every step.
     """
     if isinstance(ports, tuple):
-        return [row[q - 1] for q in ports]
+        return [row[q - 1] for q in ports[-1:] + ports[:-1]]
     return _Row(row, ports)
 
 
@@ -154,8 +164,9 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         limit = 0
 
     # Every earlier occupancy of cur ended in an exit, so its visit index
-    # is its occupancy count c. The loop reads port_d(c) = ports[(c - 1)
-    # mod P] at index c % P - 1 (-1 being the last entry).
+    # is its occupancy count c. The rows are rotated by one, so the loop
+    # reads port_d(c) = ports[(c - 1) mod P] at index c % P, never
+    # negative: a negative index leaves CPython's specialized subscript.
     steps = 0
     if limit:
         by_degree = {d: port_sequence(agent, d) for d in set(degs) - {0}}
@@ -167,7 +178,7 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
             exits: list[Sequence[tuple[int, int]] | None] = [None] * n
             exits[cur] = _successors(_arcs(cur, degs[cur]), ports[cur])
         for steps in range(1, limit + 1):
-            i = visit_counts[cur] % lens[cur] - 1
+            i = visit_counts[cur] % lens[cur]
             if moves is not None:
                 moves.append(exits[cur][i])
             cur = nexts[cur][i]

@@ -18,6 +18,7 @@ from portwalk.agents import (
     PortFunction,
     RotorRouter,
     ScriptedPortFunction,
+    port_sequence,
     whiteboard_rotor_router,
 )
 from portwalk.errors import (
@@ -37,6 +38,8 @@ from portwalk.graphs import (
     relabel,
 )
 from portwalk.simulate import (
+    _arcs,
+    _successors,
     arc_traversals,
     export_trace,
     outports_taken,
@@ -485,6 +488,38 @@ class TestCompiledLoop:
                 return bad(d)
         with pytest.raises(AgentViolationError):
             run(path3(), BadCycle(), 2, ("steps", 2))
+
+
+class TestRowLayout:
+    """_successors stores each row rotated by one: visit index c reads entry
+    c % P, never a negative index."""
+
+    @pytest.mark.parametrize("period", range(1, 6))
+    def test_cycle_rows_rotated(self, period):
+        row = (10, 11, 12)
+        for seq in itertools.product((1, 2, 3), repeat=period):
+            nexts, exits = _successors(row, seq), _successors(_arcs(7, 3), seq)
+            assert isinstance(nexts, list) and len(nexts) == period
+            for c in range(1, 3 * period + 1):
+                i = c % len(seq)
+                port = seq[(c - 1) % period]
+                assert i >= 0
+                assert nexts[i] == row[port - 1]
+                assert exits[i] == (7, port)
+
+    def test_iterator_rows_read_in_order(self):
+        table = [2, 3, 1, 1, 2]
+        seq = port_sequence(ScriptedPortFunction({3: table}, "fail"), 3)
+        row = (10, 11, 12)
+        nexts, exits = _successors(row, seq), _successors(_arcs(7, 3), seq)
+        for c, port in enumerate(table, 1):
+            i = c % len(seq)
+            assert i >= 0
+            assert nexts[i] == row[port - 1]
+            assert exits[i] == (7, port)
+            assert seq.read == table[:c]  # no read-ahead
+        with pytest.raises(HorizonExceededError):
+            nexts[(len(table) + 1) % len(seq)]
 
 
 class Counting(CallBased):
