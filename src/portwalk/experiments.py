@@ -118,10 +118,12 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     walk from v_n reaches v_i before any of v_(i-1)..v_1, so up to its
     first arrival at v_i it depends only on the labels of v_(i+1)..v_(n-1).
     There the search branches on v_i's label and each branch continues
-    from a copy of the walk state, forking run()'s walk: it steps on
-    successor rows that simulate._successors builds over build_path's rows
-    of the all-1 and all-2 labelings, and the branch sets v_i's row to the
-    one for its label. Like run()'s rows they are rotated by one, so visit
+    from a copy of the walk state. It steps on successor rows that
+    simulate._successors builds over build_path's rows of the all-1 and
+    all-2 labelings, and the branch sets v_i's row to the one for its
+    label. These are plain rows, not run()'s per-node iterators, because
+    a branch copies the walk state and copying itertools objects is
+    deprecated since Python 3.12. They are rotated by one, so visit
     count c reads entry c % P, never a negative index (which would leave
     CPython's specialized list subscript). A branch that hits the cap
     before its next new node v_(i-1) counts all 2^(i-2) labelings below it

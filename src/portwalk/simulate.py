@@ -16,27 +16,32 @@ without firing its stop condition is flagged not-stopped rather than
 failed, since several bound checks are conditional on the walk finishing.
 
 run() reads every agent through agents.port_sequence, once per degree of
-the graph, before the first step. Each node gets a successor row over its
-degree's sequence: row v lists the node reached from v on each visit
-index, so a step costs two lookups, and a periodic agent's step makes no
-call into the agent. Each row is rotated by one, so visit index c of a
-period-P sequence reads entry c % P and the index is never negative: a
-negative list index leaves CPython's specialized list subscript. A
-node's row is built on its first visit (the start node's before the
-first step), so a short walk on a large graph builds only the rows it
-uses. A recorded walk also gives each visited node an exit row of
-shared (node, port) tuples, one per arc, so recording a step appends an
-8-byte pointer; export_trace joins the step rows in chunks.
-_successors builds every row, for run() and for the path brute force
-(experiments.brute_force_path_worst_case), which forks this walk and
-takes the same step on rows it sets per labeling.
+the graph, before the first step. Each visited node gets one iterator,
+built on its first visit (the start node's before the first step), so a
+short walk on a large graph builds only what it uses. The k-th next() on
+it yields (k, w), w the node behind port_d(k): k comes from a
+count(1), and a cycle's successors from an itertools.cycle over them in
+port order. So a step is one next() call on C-level iterators, and a
+periodic agent's step makes no call into the agent. A node's visit
+count is read from its count once, after the walk. Every node not yet
+visited shares one iterator whose next() raises _FirstVisit, so first
+visits cost one exception each and nothing per step. A recorded walk
+also zips in the node's shared (node, port) tuples, one per arc, so
+recording a step appends an 8-byte pointer; export_trace joins the step
+rows in chunks.
+The path brute force (experiments.brute_force_path_worst_case) forks
+this walk's state at every branch, which itertools objects cannot give
+(copying them is deprecated since Python 3.12). It steps on plain rows
+from _successors instead, rotated by one so that visit index c reads
+entry c % P, never a negative index.
 Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import count, cycle
+from typing import Iterator, Sequence
 
 from .agents import PortFunction, port_sequence
 from .errors import InvalidArcError, InvalidLimitError, InvalidVertexError, whole
@@ -95,13 +100,15 @@ class _Row:
 def _successors(row: tuple, ports: Sequence[int]) -> Sequence:
     """The entry of row behind each visit index's port, over one period.
 
+    The path brute force's rows: it copies its walk state at every
+    branch, and itertools objects cannot be copied (deprecated since
+    Python 3.12), so it indexes plain rows where run() steps through
+    iterators.
     row is a node's neighbours (its successor row) or its _arcs (its exit
     row). Entry c % P is the one behind port_d(c), P = len(ports): the
     period is rotated by one, so visit index P reads entry 0 rather than
     -1, as a negative list index leaves CPython's specialized subscript.
-    A list for a cycle (a tuple), a _Row otherwise. A function rather
-    than a comprehension inside run(), where it would turn cur into a
-    closure cell read on every step.
+    A list for a cycle (a tuple), a _Row otherwise.
     """
     if isinstance(ports, tuple):
         return [row[q - 1] for q in ports[-1:] + ports[:-1]]
@@ -111,6 +118,48 @@ def _successors(row: tuple, ports: Sequence[int]) -> Sequence:
 def _arcs(v: int, d: int) -> tuple[tuple[int, int], ...]:
     """The moves (v, 1) .. (v, d) out of node v, one tuple per port."""
     return tuple((v, p) for p in range(1, d + 1))
+
+
+class _FirstVisit(Exception):
+    """Raised on leaving a node whose first visit run() has not yet taken."""
+
+
+class _Unvisited:
+    """The iterator of every node not yet visited: next() raises _FirstVisit."""
+
+    def __next__(self):
+        raise _FirstVisit
+
+
+_UNVISITED = _Unvisited()
+
+
+def _in_order(row: tuple, ports: Sequence[int]) -> Iterator:
+    """row's entries behind port_d(1), port_d(2), ... of an iterator agent.
+
+    Entry i is read from ports, a port_sequence, at the node's (i+1)-th
+    departure, so the agent is advanced lazily and in order. A generator:
+    it costs less per step than a _Row called from map.
+    """
+    for i in count():
+        yield row[ports[i] - 1]
+
+
+def _departures(v: int, row: tuple, by_degree: dict, record: bool) -> tuple[count, Iterator]:
+    """Node v's departure count and the iterator run() leaves v through.
+
+    row is v's neighbours and by_degree maps each degree to its
+    port_sequence. The k-th next() yields (k, w), w the neighbour behind
+    port_d(k), or (k, (v, port_d(k)), w) when record is set; k comes
+    from the count, so next(count) - 1 is the number of departures taken.
+    A cycle's entries are repeated in port order by itertools.cycle.
+    """
+    ports = by_degree[len(row)]
+    rows = (_arcs(v, len(row)), row) if record else (row,)
+    k = count(1)
+    if isinstance(ports, tuple):
+        return k, zip(k, *[cycle([r[q - 1] for q in ports]) for r in rows])
+    return k, zip(k, *[_in_order(r, ports) for r in rows])
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -149,42 +198,43 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         raise ValueError(f"unrecognized stop condition {stop!r}")
 
     port_map = g.port_map
-    degs = [len(row) for row in port_map]
-    visit_counts = [0] * n
     first_visit: list[int | None] = [None] * n
     moves: list[tuple[int, int]] | None = [] if record_moves else None
+    departures: list[count | None] = [None] * n
 
     cur = start
-    visit_counts[cur] = 1
     first_visit[cur] = 0
     unvisited = n - 1
     covered_at: int | None = 0 if unvisited == 0 else None
     stopped = cur == target or unvisited == stop_unvisited
-    if stopped or degs[cur] == 0:
+    if stopped or not port_map[cur]:
         limit = 0
 
-    # Every earlier occupancy of cur ended in an exit, so its visit index
-    # is its occupancy count c. The rows are rotated by one, so the loop
-    # reads port_d(c) = ports[(c - 1) mod P] at index c % P, never
-    # negative: a negative index leaves CPython's specialized subscript.
+    # Each move is one next() on cur's iterator; steps counts the moves
+    # made. A node not yet visited holds _UNVISITED, so leaving it raises
+    # _FirstVisit without moving, the handler takes the first visit and
+    # the loop resumes at the move it did not make. An arrival on the last
+    # move has no departure to raise, so it is checked after the loop.
     steps = 0
     if limit:
-        by_degree = {d: port_sequence(agent, d) for d in set(degs) - {0}}
-        ports = [by_degree.get(d, ()) for d in degs]  # degree 0 takes no step
-        lens = [len(seq) for seq in ports]
-        nexts: list[Sequence[int] | None] = [None] * n
-        nexts[cur] = _successors(port_map[cur], ports[cur])
-        if moves is not None:
-            exits: list[Sequence[tuple[int, int]] | None] = [None] * n
-            exits[cur] = _successors(_arcs(cur, degs[cur]), ports[cur])
-        for steps in range(1, limit + 1):
-            i = visit_counts[cur] % lens[cur]
-            if moves is not None:
-                moves.append(exits[cur][i])
-            cur = nexts[cur][i]
-            c = visit_counts[cur] + 1
-            visit_counts[cur] = c
-            if c == 1:
+        by_degree = {d: port_sequence(agent, d) for d in {len(row) for row in port_map} - {0}}
+        its: list[Iterator] = [_UNVISITED] * n
+        departures[cur], its[cur] = _departures(cur, port_map[cur], by_degree, record_moves)
+        while True:
+            try:
+                if not record_moves:
+                    for steps in range(steps, limit):
+                        _, cur = next(its[cur])
+                else:
+                    append = moves.append
+                    for steps in range(steps, limit):
+                        _, move, cur = next(its[cur])
+                        append(move)
+                steps = limit
+                if its[cur] is _UNVISITED:
+                    raise _FirstVisit
+                break
+            except _FirstVisit:
                 first_visit[cur] = steps
                 unvisited -= 1
                 if unvisited == 0:
@@ -192,13 +242,14 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
                 if cur == target or unvisited == stop_unvisited:
                     stopped = True
                     break
-                nexts[cur] = _successors(port_map[cur], ports[cur])
-                if moves is not None:
-                    exits[cur] = _successors(_arcs(cur, degs[cur]), ports[cur])
+                departures[cur], its[cur] = _departures(cur, port_map[cur], by_degree, record_moves)
 
     if budget is not None:
         stopped = steps == budget
 
+    # A node's occupancies are its departures, plus the final one.
+    visit_counts = [0 if k is None else next(k) - 1 for k in departures]
+    visit_counts[cur] += 1
     return SimulationTrace(
         graph=g,
         start=start,

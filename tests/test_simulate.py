@@ -12,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_modules import load
 from portwalk.adversary import worst_case_path_labeling
 from portwalk.agents import (
     CyclicAgent,
     PortFunction,
     RotorRouter,
     ScriptedPortFunction,
+    WhiteboardAgent,
     port_sequence,
     whiteboard_rotor_router,
 )
@@ -56,8 +58,20 @@ BATTERY = [
 ]
 
 
+ORACLES = load("oracles")
+
+
 def path3():
     return build_path(PathLabeling(3, (1,)))
+
+
+def path4():
+    """v_4 - v_3 - v_2 - v_1 as nodes 3 - 2 - 1 - 0, every label 1.
+
+    The rotor-router from node 3 moves 3 2 3 2 1 2 3 2 1 0: first visits
+    at steps 1 (node 2), 4 (node 1) and 9 (node 0, full coverage).
+    """
+    return build_path(PathLabeling(4, (1, 1)))
 
 
 class TestStep:
@@ -182,6 +196,137 @@ class TestRun:
         a = run(g, ROTOR, 3, "covered")
         b = run(g, ROTOR, 3, "covered")
         assert a == b
+
+
+class TestFirstVisitDetection:
+    """A first visit is taken when the walk next tries to leave the node,
+    so an arrival on the walk's last move is caught after the loop."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_new_node_on_the_cap(self, record):
+        t = run(path4(), ROTOR, 3, "covered", cap=4, record_moves=record)
+        assert (t.steps, t.final, t.stopped, t.covered_at) == (4, 1, False, None)
+        assert t.first_visit == [None, 4, 1, 0]
+        assert t.visit_counts == [0, 1, 2, 2]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_steps_stop_on_a_new_node(self, record):
+        t = run(path4(), ROTOR, 3, ("steps", 4), record_moves=record)
+        assert (t.steps, t.final, t.stopped, t.covered_at) == (4, 1, True, None)
+        assert t.first_visit == [None, 4, 1, 0]
+        assert t.visit_counts == [0, 1, 2, 2]
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("target, cap", [(1, 4), (0, 9)])
+    def test_target_on_the_cap(self, target, cap, record):
+        t = run(path4(), ROTOR, 3, ("target", target), cap=cap, record_moves=record)
+        assert (t.steps, t.final, t.stopped) == (cap, target, True)
+        assert t.first_visit[target] == cap
+        short = run(path4(), ROTOR, 3, ("target", target), cap=cap - 1, record_moves=record)
+        assert (short.steps, short.stopped, short.first_visit[target]) == (cap - 1, False, None)
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stop, cap", [("covered", 9), (("steps", 9), None), (("steps", 9), 9)])
+    def test_coverage_on_the_last_step(self, stop, cap, record):
+        t = run(path4(), ROTOR, 3, stop, cap=cap, record_moves=record)
+        assert (t.steps, t.final, t.stopped, t.covered_at) == (9, 0, True, 9)
+        assert t.first_visit == [9, 4, 1, 0]
+        assert t.visit_counts == [1, 2, 4, 3]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_start_is_target(self, record):
+        t = run(path4(), ROTOR, 2, ("target", 2), record_moves=record)
+        assert (t.steps, t.final, t.stopped, t.covered_at) == (0, 2, True, None)
+        assert t.first_visit == [None, None, 0, None]
+        assert t.visit_counts == [0, 0, 1, 0]
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stop", ["covered", ("steps", 5), ("target", 0)])
+    def test_degree_zero_start(self, stop, record):
+        g = deserialize('{"n": 1, "ports": [[]]}')
+        t = run(g, ROTOR, 0, stop, record_moves=record)
+        assert (t.steps, t.final, t.covered_at) == (0, 0, 0)
+        assert t.stopped == (stop[0] != "steps")
+        assert (t.first_visit, t.visit_counts) == ([0], [1])
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_zero_steps(self, record):
+        t = run(path4(), ROTOR, 3, ("steps", 0), record_moves=record)
+        assert (t.steps, t.final, t.stopped, t.covered_at) == (0, 3, True, None)
+        assert t.first_visit == [None, None, None, 0]
+        assert t.visit_counts == [0, 0, 0, 1]
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_fail_script_error_propagates(self, record):
+        # node 2 leaves by ports 1, 2, then asks for a third entry on move 6
+        agent = ScriptedPortFunction({2: [1, 2]}, "fail")
+        t = run(path4(), agent, 3, ("steps", 5), record_moves=record)
+        assert (t.final, t.visit_counts) == (2, [0, 1, 3, 2])
+        with pytest.raises(HorizonExceededError,
+                           match="^degree-2 table has 2 entries, visit 3 requested$") as e:
+            run(path4(), agent, 3, ("steps", 6), record_moves=record)
+        assert type(e.value) is HorizonExceededError
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_missing_table_raises_on_a_new_nodes_first_exit(self, record):
+        agent = ScriptedPortFunction({}, "fail")
+        assert run(path4(), agent, 3, ("steps", 1), record_moves=record).final == 2
+        with pytest.raises(HorizonExceededError, match="^no table for degree 2$") as e:
+            run(path4(), agent, 3, ("steps", 2), record_moves=record)
+        assert type(e.value) is HorizonExceededError
+
+    @pytest.mark.parametrize("record", [True, False])
+    def test_agent_violation_propagates(self, record):
+        # port_d(2) leaves state 2, which needs 2 bits: node 3's second exit
+        agent = WhiteboardAgent(transition=lambda s, d: (s + 1, 1), memory_bits=1)
+        assert run(path4(), agent, 3, ("steps", 2), record_moves=record).final == 3
+        with pytest.raises(AgentViolationError,
+                           match="^node state 2 needs more than 1 bits at degree 1$") as e:
+            run(path4(), agent, 3, ("steps", 3), record_moves=record)
+        assert type(e.value) is AgentViolationError
+
+
+class TestEngineMatchesOracle:
+    """run() against bench/oracles.walk, a walker that shares no code with it."""
+
+    @given(
+        st.tuples(st.integers(2, 9), st.integers(0, 10 ** 6)).flatmap(lambda t: st.tuples(
+            st.just(t[0]), st.integers(t[0] - 1, t[0] * (t[0] - 1) // 2), st.just(t[1]))),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_walk(self, params, data):
+        n, m, seed = params
+        g = random_connected_graph(n, m, seed)
+        ports = [list(row) for row in g.port_map]
+        tables = {d: st.lists(st.integers(1, d), min_size=1, max_size=5)
+                  for d in {len(row) for row in ports} - {1}}
+        spec = data.draw(st.one_of(st.sampled_from(ORACLES.BATTERY),
+                                   st.fixed_dictionaries(tables)))
+        agent = battery()[spec] if isinstance(spec, str) else ScriptedPortFunction(spec)
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.one_of(
+            st.just("covered"),
+            st.tuples(st.just("target"), st.integers(0, n - 1)),
+            st.tuples(st.just("steps"), st.integers(0, 300)),
+        ))
+        cap = data.draw(st.integers(1, 300))
+        t = run(g, agent, start, stop, cap=cap, record_moves=data.draw(st.booleans()))
+
+        if stop == "covered" or stop[0] == "target":
+            target = None if stop == "covered" else stop[1]
+            w = ORACLES.walk(ports, start, spec, cap, target=target)
+            assert t.stopped == (w.reached is not None)
+            assert t.steps == (cap if w.reached is None else w.reached)
+        else:
+            assert t.steps == min(stop[1], cap)
+            assert t.stopped == (stop[1] <= cap)
+        # Within the steps run() took: coverage, first visits, occupancies.
+        assert t.covered_at == ORACLES.walk(ports, start, spec, t.steps).reached
+        for v in range(n):
+            w = ORACLES.walk(ports, start, spec, t.steps, target=v, watch=v, horizon=t.steps)
+            assert t.first_visit[v] == w.reached
+            assert t.visit_counts[v] == w.watch_visits + (v == t.final)
 
 
 class TestCoverTime:
