@@ -22,7 +22,7 @@ from .adversary import (
 )
 from .errors import InvalidLimitError, InvalidSizeError, whole
 from .graphs import PathLabeling, build_path, diameter, random_connected_graph
-from .simulate import _cap, _successors, run
+from .simulate import _cap, run
 
 
 def battery() -> dict[str, PortFunction]:
@@ -105,6 +105,33 @@ class BruteForceResult:
     unstopped: int
 
 
+class _Row:
+    """Successor row of one node over a non-cycle port sequence.
+
+    Entry i is the neighbour behind port_d(i) = ports[i - 1], as in the
+    rotated rows _successors builds for cycles; ports is read in order.
+    """
+
+    def __init__(self, row: tuple, ports: Sequence[int]):
+        self.row, self.ports = row, ports
+
+    def __getitem__(self, i: int):
+        return self.row[self.ports[i - 1] - 1]
+
+
+def _successors(row: tuple, ports: Sequence[int]) -> Sequence:
+    """The neighbour in row behind each visit index's port, over one period.
+
+    Entry c % P is the one behind port_d(c), P = len(ports): the period
+    is rotated by one, so visit index P reads entry 0 rather than -1, as
+    a negative list index leaves CPython's specialized subscript. A list
+    for a cycle (a tuple), a _Row otherwise.
+    """
+    if isinstance(ports, tuple):
+        return [row[q - 1] for q in ports[-1:] + ports[:-1]]
+    return _Row(row, ports)
+
+
 def brute_force_path_worst_case(agent: PortFunction, n: int,
                                 cap: int | None = None) -> BruteForceResult:
     """Try every one of the 2^(n-2) path labelings and keep the worst.
@@ -119,13 +146,11 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     first arrival at v_i it depends only on the labels of v_(i+1)..v_(n-1).
     There the search branches on v_i's label and each branch continues
     from a copy of the walk state. It steps on successor rows that
-    simulate._successors builds over build_path's rows of the all-1 and
-    all-2 labelings, and the branch sets v_i's row to the one for its
-    label. These are plain rows, not run()'s per-node iterators, because
-    a branch copies the walk state and copying itertools objects is
-    deprecated since Python 3.12. They are rotated by one, so visit
-    count c reads entry c % P, never a negative index (which would leave
-    CPython's specialized list subscript). A branch that hits the cap
+    _successors builds over build_path's rows of the all-1 and all-2
+    labelings, and the branch sets v_i's row to the one for its label.
+    These are plain rows indexed by visit count, not run()'s per-node
+    iterators, because a branch copies the walk state and copying
+    itertools objects is deprecated since Python 3.12. A branch that hits the cap
     before its next new node v_(i-1) counts all 2^(i-2) labelings below it
     as unstopped at once. Among labelings of equal worst cost the result
     keeps the lexicographically smallest toward_far (the first in the

@@ -29,11 +29,6 @@ visits cost one exception each and nothing per step. A recorded walk
 also zips in the node's shared (node, port) tuples, one per arc, so
 recording a step appends an 8-byte pointer; export_trace joins the step
 rows in chunks.
-The path brute force (experiments.brute_force_path_worst_case) forks
-this walk's state at every branch, which itertools objects cannot give
-(copying them is deprecated since Python 3.12). It steps on plain rows
-from _successors instead, rotated by one so that visit index c reads
-entry c % P, never a negative index.
 Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 
@@ -83,38 +78,6 @@ def _cap(cap, n: int) -> int:
     return 4 * n * n * n if cap is None else whole(cap, "cap", InvalidLimitError, 1)
 
 
-class _Row:
-    """Successor or exit row of one node over a non-cycle port sequence.
-
-    Entry i is the one behind port_d(i) = ports[i - 1], as in the rotated
-    rows _successors builds for cycles; ports is read in order.
-    """
-
-    def __init__(self, row: tuple, ports: Sequence[int]):
-        self.row, self.ports = row, ports
-
-    def __getitem__(self, i: int):
-        return self.row[self.ports[i - 1] - 1]
-
-
-def _successors(row: tuple, ports: Sequence[int]) -> Sequence:
-    """The entry of row behind each visit index's port, over one period.
-
-    The path brute force's rows: it copies its walk state at every
-    branch, and itertools objects cannot be copied (deprecated since
-    Python 3.12), so it indexes plain rows where run() steps through
-    iterators.
-    row is a node's neighbours (its successor row) or its _arcs (its exit
-    row). Entry c % P is the one behind port_d(c), P = len(ports): the
-    period is rotated by one, so visit index P reads entry 0 rather than
-    -1, as a negative list index leaves CPython's specialized subscript.
-    A list for a cycle (a tuple), a _Row otherwise.
-    """
-    if isinstance(ports, tuple):
-        return [row[q - 1] for q in ports[-1:] + ports[:-1]]
-    return _Row(row, ports)
-
-
 def _arcs(v: int, d: int) -> tuple[tuple[int, int], ...]:
     """The moves (v, 1) .. (v, d) out of node v, one tuple per port."""
     return tuple((v, p) for p in range(1, d + 1))
@@ -139,7 +102,7 @@ def _in_order(row: tuple, ports: Sequence[int]) -> Iterator:
 
     Entry i is read from ports, a port_sequence, at the node's (i+1)-th
     departure, so the agent is advanced lazily and in order. A generator:
-    it costs less per step than a _Row called from map.
+    it costs less per step than map over a Python-level __getitem__.
     """
     for i in count():
         yield row[ports[i] - 1]

@@ -30,7 +30,7 @@ from portwalk.errors import (
     InvalidLimitError,
     InvalidVertexError,
 )
-from portwalk.experiments import battery
+from portwalk.experiments import _successors, battery
 from portwalk.graphs import (
     PathLabeling,
     build_clique_pendant,
@@ -41,7 +41,6 @@ from portwalk.graphs import (
 )
 from portwalk.simulate import (
     _arcs,
-    _successors,
     arc_traversals,
     export_trace,
     outports_taken,
@@ -92,8 +91,14 @@ class TestStep:
         agent = ScriptedPortFunction({2: [1]}, "fail")
         # out of v_3, v_2's one scripted exit back to v_3, out of v_3 again
         assert run(g, agent, 2, ("steps", 3)).moves == [(2, 1), (1, 1), (2, 1)]
-        with pytest.raises(HorizonExceededError):
-            run(g, agent, 2, ("steps", 4))  # second visit to v_2 is beyond the table
+        for record in (True, False):
+            t = run(g, agent, 2, ("steps", 3), record_moves=record)
+            assert (t.final, t.visit_counts) == (1, [0, 2, 2])
+            # second visit to v_2 is beyond the table
+            with pytest.raises(HorizonExceededError,
+                               match="^degree-2 table has 1 entries, visit 2 requested$") as e:
+                run(g, agent, 2, ("steps", 4), record_moves=record)
+            assert type(e.value) is HorizonExceededError
 
     def test_bad_start(self):
         with pytest.raises(InvalidVertexError):
@@ -133,9 +138,12 @@ class TestRun:
         assert t.steps == 10
 
     def test_start_is_target(self):
-        t = run(path3(), ROTOR, 0, ("target", 0))
-        assert t.stopped
-        assert t.steps == 0
+        for record in (True, False):
+            t = run(path3(), ROTOR, 0, ("target", 0), record_moves=record)
+            assert t.stopped
+            assert t.steps == 0
+            assert (t.final, t.covered_at) == (0, None)
+            assert (t.first_visit, t.visit_counts) == ([0, None, None], [1, 0, 0])
 
     def test_bad_stop(self):
         with pytest.raises(ValueError):
@@ -185,6 +193,12 @@ class TestRun:
         assert t.moves == []
         assert not t.stopped
         assert t.covered_at == 0
+        for stop, record in itertools.product(["covered", ("steps", 5), ("target", 0)],
+                                              (True, False)):
+            t = run(g, ROTOR, 0, stop, record_moves=record)
+            assert (t.steps, t.final, t.covered_at) == (0, 0, 0)
+            assert t.stopped == (stop[0] != "steps")
+            assert (t.first_visit, t.visit_counts) == ([0], [1])
 
     def test_covered_at_is_max_first_visit(self):
         g = random_connected_graph(10, 20, seed=9)
@@ -200,7 +214,9 @@ class TestRun:
 
 class TestFirstVisitDetection:
     """A first visit is taken when the walk next tries to leave the node,
-    so an arrival on the walk's last move is caught after the loop."""
+    so an arrival on the walk's last move is caught after the loop.
+    TestRun and TestStep cover start == target, a degree-0 start and a
+    fail script past its table in both modes."""
 
     @pytest.mark.parametrize("record", [True, False])
     def test_new_node_on_the_cap(self, record):
@@ -234,38 +250,11 @@ class TestFirstVisitDetection:
         assert t.visit_counts == [1, 2, 4, 3]
 
     @pytest.mark.parametrize("record", [True, False])
-    def test_start_is_target(self, record):
-        t = run(path4(), ROTOR, 2, ("target", 2), record_moves=record)
-        assert (t.steps, t.final, t.stopped, t.covered_at) == (0, 2, True, None)
-        assert t.first_visit == [None, None, 0, None]
-        assert t.visit_counts == [0, 0, 1, 0]
-
-    @pytest.mark.parametrize("record", [True, False])
-    @pytest.mark.parametrize("stop", ["covered", ("steps", 5), ("target", 0)])
-    def test_degree_zero_start(self, stop, record):
-        g = deserialize('{"n": 1, "ports": [[]]}')
-        t = run(g, ROTOR, 0, stop, record_moves=record)
-        assert (t.steps, t.final, t.covered_at) == (0, 0, 0)
-        assert t.stopped == (stop[0] != "steps")
-        assert (t.first_visit, t.visit_counts) == ([0], [1])
-
-    @pytest.mark.parametrize("record", [True, False])
     def test_zero_steps(self, record):
         t = run(path4(), ROTOR, 3, ("steps", 0), record_moves=record)
         assert (t.steps, t.final, t.stopped, t.covered_at) == (0, 3, True, None)
         assert t.first_visit == [None, None, None, 0]
         assert t.visit_counts == [0, 0, 0, 1]
-
-    @pytest.mark.parametrize("record", [True, False])
-    def test_fail_script_error_propagates(self, record):
-        # node 2 leaves by ports 1, 2, then asks for a third entry on move 6
-        agent = ScriptedPortFunction({2: [1, 2]}, "fail")
-        t = run(path4(), agent, 3, ("steps", 5), record_moves=record)
-        assert (t.final, t.visit_counts) == (2, [0, 1, 3, 2])
-        with pytest.raises(HorizonExceededError,
-                           match="^degree-2 table has 2 entries, visit 3 requested$") as e:
-            run(path4(), agent, 3, ("steps", 6), record_moves=record)
-        assert type(e.value) is HorizonExceededError
 
     @pytest.mark.parametrize("record", [True, False])
     def test_missing_table_raises_on_a_new_nodes_first_exit(self, record):

@@ -2,19 +2,18 @@
 
 Usage, from the root of a checkout:
 
-    PYTHONPATH=src python3 tools/engine_rate.py [--steps 1000000] [--repeats 5]
+    PYTHONPATH=src python3 tools/engine_rate.py
 
-Walks the rotor-router for a fixed number of steps on the n = 90 cubic
+Walks the rotor-router for STEPS steps on the n = 90 cubic
 instance built against it, in three modes: counters-only
 (record_moves=False), recorded, and counters-only as the whiteboard
 rotor-router, an agent whose ports(d) is an iterator. Prints one JSON
-object: per mode, the median steps/s over the repeats, and every
+object: per mode, the median steps/s over REPEATS runs, and every
 repeat's. Times are wall-clock on this interpreter, unscaled.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
 from statistics import median
@@ -23,6 +22,8 @@ from portwalk.adversary import build_cubic_instance
 from portwalk.agents import RotorRouter, whiteboard_rotor_router
 from portwalk.simulate import run
 
+STEPS = 1_000_000
+REPEATS = 3
 MODES = {
     "counters_only_cycle": (RotorRouter(), False),
     "recorded_cycle": (RotorRouter(), True),
@@ -31,17 +32,13 @@ MODES = {
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--steps", type=int, default=1_000_000)
-    parser.add_argument("--repeats", type=int, default=5)
-    args = parser.parse_args()
     inst = build_cubic_instance(RotorRouter(), 90)
     out = {}
     for mode, (agent, record) in MODES.items():
         rates = []
-        for _ in range(args.repeats):
+        for _ in range(REPEATS):
             t0 = time.perf_counter()
-            t = run(inst.graph, agent, inst.start, ("steps", args.steps), record_moves=record)
+            t = run(inst.graph, agent, inst.start, ("steps", STEPS), record_moves=record)
             rates.append(t.steps / (time.perf_counter() - t0))
             del t
         out[mode] = {"median_steps_per_s": median(rates), "steps_per_s": rates}
