@@ -11,6 +11,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .agents import CyclicAgent, PortFunction, RotorRouter, port_sequence
@@ -106,30 +107,108 @@ class BruteForceResult:
 
 
 class _Row:
-    """Successor row of one node over a non-cycle port sequence.
+    """Successor row of one node for the row walk.
 
-    Entry i is the neighbour behind port_d(i) = ports[i - 1], as in the
-    rotated rows _successors builds for cycles; ports is read in order.
+    Entry i is the neighbour in row behind port_d(i) = ports[(i - 1) % P],
+    ports a port_sequence of period P. An iterator agent's sequence is
+    read in order, the first time each index is asked for; a cycle is
+    repeated (an agent may have a cycle at one degree and an iterator at
+    the other).
     """
 
     def __init__(self, row: tuple, ports: Sequence[int]):
-        self.row, self.ports = row, ports
+        self.row, self.ports, self.period = row, ports, len(ports)
 
     def __getitem__(self, i: int):
-        return self.row[self.ports[i - 1] - 1]
+        return self.row[self.ports[(i - 1) % self.period] - 1]
 
 
-def _successors(row: tuple, ports: Sequence[int]) -> Sequence:
-    """The neighbour in row behind each visit index's port, over one period.
+def _row_walk(paths: list, by_degree: dict, label: list[int], cap: int):
+    """The segment kernel that steps the walk, one _Row read per step.
 
-    Entry c % P is the one behind port_d(c), P = len(ports): the period
-    is rotated by one, so visit index P reads entry 0 rather than -1, as
-    a negative list index leaves CPython's specialized subscript. A list
-    for a cycle (a tuple), a _Row otherwise.
+    It serves every agent with an iterator among its port sequences, so
+    an iterator is advanced once per index some walk reaches, and the
+    first index that raises is reached in walk order. counts[v] is v's
+    visit count.
     """
-    if isinstance(ports, tuple):
-        return [row[q - 1] for q in ports[-1:] + ports[:-1]]
-    return _Row(row, ports)
+    succ = [[_Row(row, by_degree[len(row)]) for row in p] for p in paths]
+    rows = [None] * len(label)
+
+    def segment(j: int, counts: list[int], steps: int) -> int | None:
+        rows[j] = succ[label[j] - 1][j]
+        cur = j
+        while steps < cap:
+            cur = rows[cur][counts[cur]]
+            steps += 1
+            counts[cur] += 1
+            if cur < j:
+                return steps
+        return None
+    return segment
+
+
+def _inward_exits(ports: tuple[int, ...], label: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Where a degree-2 cycle leaves an internal path node toward v_1.
+
+    Under toward_far = label the inward port is the other one. pos holds
+    the 1-based offsets j in one period P = len(ports) with port_2(j)
+    inward, and pre[x] counts those among offsets 1..x, for x < P.
+    """
+    pos = tuple(j for j, p in enumerate(ports, 1) if p != label)
+    pre = tuple(accumulate((p != label for p in ports[:-1]), initial=0))
+    return pos, pre
+
+
+def _exits_to_inward(e: int, r: int, period: int, pos: tuple[int, ...],
+                     pre: tuple[int, ...]) -> int:
+    """How many exits a node makes, after its first e, up to its r-th inward one.
+
+    Its next exit has visit index e + 1, and e = q*P + s with s < P. The
+    first s offsets of period q + 1 hold pre[s] inward exits, so the one
+    wanted is the (pre[s] + r)-th from that period's start: whole periods
+    a and entry b of pos, (a, b) = divmod(pre[s] + r - 1, len(pos)). So
+    it has visit index e - s + a*P + pos[b]. pos must not be empty.
+    """
+    s = e % period
+    a, b = divmod(pre[s] + r - 1, len(pos))
+    return a * period + pos[b] - s
+
+
+def _excursions(ports: tuple[int, ...], label: list[int], cap: int):
+    """The segment kernel that adds the walk up level by level.
+
+    For an agent whose port sequences are all cycles. From its first
+    arrival at v_(j+1) (id j) to its first arrival at id j - 1, the walk
+    leaves id j through r = 1 inward exit and some outward ones, each of
+    which starts an excursion above j that ends when id j + 1 next exits
+    inward. So id j + 1 owes as many inward exits as id j made outward
+    ones, and so on up to v_n, whose one port always leads back. Level u,
+    owing r inward exits, makes _exits_to_inward(counts[u], r, ...) exits
+    in the segment; their sum is the segment's steps. counts[u] is u's exit
+    count, read and written for the internal nodes only: the node a
+    segment starts from has none yet.
+    """
+    period = len(ports)
+    forms = [None] + [_inward_exits(ports, label) for label in (1, 2)]
+    top = len(label) - 1
+
+    def segment(j: int, counts: list[int], steps: int) -> int | None:
+        room, r = cap - steps, 1
+        for u in range(j, top):
+            pos, pre = forms[label[u]]
+            if not pos:
+                return None  # u never exits inward: the walk never comes back
+            made = _exits_to_inward(counts[u], r, period, pos, pre)
+            counts[u] += made
+            room -= made
+            if room < 0:
+                return None
+            r = made - r  # u's outward exits, each an excursion above u
+            if not r:
+                return cap - room
+        room -= r  # v_n's exits, all inward
+        return None if room < 0 else cap - room
+    return segment
 
 
 def brute_force_path_worst_case(agent: PortFunction, n: int,
@@ -138,55 +217,49 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
 
     Independent of the majority construction: the agent walks from v_n
     until it first visits v_1, with cap (default 4n^3) bounding each walk
-    as in run(). Refuses n > 14 where the enumeration stops being
-    desk-scale.
+    as in run(): a walk that arrives at step cap counts as reached.
+    Refuses n > 14 where the enumeration stops being desk-scale.
 
     The labelings are enumerated depth-first on shared walk prefixes. A
     walk from v_n reaches v_i before any of v_(i-1)..v_1, so up to its
     first arrival at v_i it depends only on the labels of v_(i+1)..v_(n-1).
-    There the search branches on v_i's label and each branch continues
-    from a copy of the walk state. It steps on successor rows that
-    _successors builds over build_path's rows of the all-1 and all-2
-    labelings, and the branch sets v_i's row to the one for its label.
-    These are plain rows indexed by visit count, not run()'s per-node
-    iterators, because a branch copies the walk state and copying
-    itertools objects is deprecated since Python 3.12. A branch that hits the cap
-    before its next new node v_(i-1) counts all 2^(i-2) labelings below it
-    as unstopped at once. Among labelings of equal worst cost the result
-    keeps the lexicographically smallest toward_far (the first in the
-    order of itertools.product((1, 2), ...)). If some walks raise, the
-    error raised is that of the first such labeling in the same order.
-    An agent whose ports(d) is an iterator is advanced once per index
-    that some walk reaches.
+    There the search branches on v_i's label, and each branch runs one
+    segment, to the first arrival at v_(i-1), from a copy of the walk
+    state (a count per node). A segment that passes the cap counts all
+    2^(i-2) labelings below it as unstopped at once. Among labelings of
+    equal worst cost the result keeps the lexicographically smallest
+    toward_far (the first in the order of itertools.product((1, 2), ...)).
+
+    Two kernels run a segment. When every port sequence read is a cycle,
+    _excursions adds it up in O(n) arithmetic with no step simulated.
+    Otherwise _row_walk steps it on rows over build_path's rows of the
+    all-1 and all-2 labelings, indexed by visit count (not run()'s
+    iterators: copying itertools objects is deprecated since Python
+    3.12). An iterator agent is then advanced once per index that some
+    walk reaches, and if some walks raise, the error raised is that of
+    the first such labeling in product order.
     """
     whole(n, "n", InvalidSizeError, 2, 14)
     cap = _cap(cap, n)
-    # Node v_k has id k - 1. succ[l - 1][v] is v's successor row when
-    # label[v], its toward_far, is l: v's row in the all-l path.
+    # Node v_k has id k - 1; label[v] is v's toward_far.
     paths = [build_path(PathLabeling(n, (l,) * (n - 2))).port_map for l in (1, 2)]
     by_degree = {d: port_sequence(agent, d) for d in sorted({len(r) for r in paths[0]})}
-    ports = [by_degree[len(row)] for row in paths[0]]
-    lens = [len(seq) for seq in ports]
-    succ = [[_successors(row, seq) for row, seq in zip(p, ports)] for p in paths]
     top = n - 1
-    rows, label = [None] * n, [0] * n
+    label = [0] * n
+    if all(isinstance(seq, tuple) for seq in by_degree.values()):
+        # at n = 2 no node has degree 2, and no level is ever evaluated
+        segment = _excursions(by_degree.get(2, ()), label, cap)
+    else:
+        segment = _row_walk(paths, by_degree, label, cap)
     worst: tuple[int, tuple[int, ...]] | None = None  # (-steps, toward_far)
     unstopped = 0
     error: tuple[tuple[int, ...], Exception] | None = None
-    # (j, label of j, visit counts, steps): a walk at j, its lowest node yet.
+    # (j, label of j, counts, steps): a walk at its first arrival at j.
     stack = [(top, 1, [0] * top + [1], 0)]
     while stack:
-        j, label_j, counts, steps = stack.pop()
-        label[j] = label_j
-        rows[j] = succ[label_j - 1][j]
-        cur = j
+        j, label[j], counts, steps = stack.pop()
         try:
-            while steps < cap:
-                cur = rows[cur][counts[cur] % lens[cur]]
-                steps += 1
-                counts[cur] += 1
-                if cur < j:
-                    break
+            steps = segment(j, counts, steps)
         except Exception as e:
             # The agent raised for every labeling below this branch; the
             # enumeration raises it for the smallest raising labeling.
@@ -194,15 +267,15 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
             if error is None or first < error[0]:
                 error = (first, e)
             continue
-        if cur >= j:
+        if steps is None:
             unstopped += 1 << (j - 1)
-        elif cur == 0:
+        elif j == 1:
             leaf = (-steps, tuple(label[1:top]))
             if worst is None or leaf < worst:
                 worst = leaf
         else:
-            stack.append((cur, 2, counts.copy(), steps))
-            stack.append((cur, 1, counts, steps))
+            stack.append((j - 1, 2, counts.copy(), steps))
+            stack.append((j - 1, 1, counts, steps))
     if error is not None:
         raise error[1]
     if worst is None:

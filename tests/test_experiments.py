@@ -31,6 +31,8 @@ from portwalk.experiments import (
     BruteForceResult,
     ExperimentReport,
     ReportRow,
+    _exits_to_inward,
+    _inward_exits,
     battery,
     brute_force_path_worst_case,
     brute_force_rows,
@@ -271,6 +273,77 @@ class TestBruteForceReadsPortsOnce:
         with pytest.raises(AgentViolationError, match=f"port {bad + 1} at degree {bad}"):
             brute_force_path_worst_case(agent, 5)
         assert agent.calls == []
+
+
+class AsIterator(PortFunction):
+    """The agent's cycles handed out as iterators, so the brute force takes
+    the row walk instead of the closed form."""
+
+    def __init__(self, agent, degrees=(1, 2)):
+        self.agent, self.degrees, self.name = agent, degrees, agent.name
+
+    def ports(self, d):
+        got = self.agent.ports(d)
+        return itertools.cycle(got) if d in self.degrees else got
+
+
+class TestKernelsAgree:
+    """The closed form (every port sequence a cycle) against the row walk on
+    the same tables, uncapped and at caps 1 (the first step only), n - 1
+    (the shortest walk to v_1) and at and just below the exact worst case."""
+
+    @staticmethod
+    def caps(agent, n):
+        worst = brute_force_path_worst_case(agent, n).max_steps
+        extra = () if worst is None else (worst, worst - 1)
+        return [None, 1, n - 1, *(c for c in extra if c >= 1)]
+
+    def check(self, agent, n, walked):
+        for cap in self.caps(agent, n):
+            assert (outcome(brute_force_path_worst_case, agent, n, cap)
+                    == outcome(brute_force_path_worst_case, walked, n, cap)), (agent.name, cap)
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_battery(self, n):
+        for agent in battery().values():
+            self.check(agent, n, AsIterator(agent))
+
+    @pytest.mark.parametrize("degrees", [(1,), (2,)])
+    def test_mixed_agents(self, degrees):
+        # one degree an iterator, the other a cycle: the row walk repeats the cycle
+        agent = ScriptedPortFunction({2: [1, 2, 2, 1, 1]}, "cycle")
+        for n in range(2, 9):
+            mixed = AsIterator(agent, degrees)
+            assert brute_force_path_worst_case(agent, n) == reference_enumeration(mixed, n)
+            self.check(agent, n, mixed)
+
+    @given(script_tables(), st.integers(2, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_random_cycles(self, tables, n):
+        agent = ScriptedPortFunction(tables, "cycle")
+        self.check(agent, n, AsIterator(agent))
+
+    @pytest.mark.parametrize("period", range(1, 6))
+    def test_exits_to_inward_matches_scan(self, period):
+        def scan(ports, label, e, r):
+            """Exits after the first e, up to the r-th that leaves by the
+            port other than label, read one by one."""
+            made = 0
+            while r:
+                made += 1
+                r -= ports[(e + made - 1) % period] != label
+            return made
+
+        for ports in itertools.product((1, 2), repeat=period):
+            for label in (1, 2):
+                pos, pre = _inward_exits(ports, label)
+                assert len(pos) == sum(p != label for p in ports)
+                if not pos:
+                    continue
+                for e in range(3 * period + 1):
+                    for r in range(1, 2 * len(pos) + 2):
+                        assert (_exits_to_inward(e, r, period, pos, pre)
+                                == scan(ports, label, e, r)), (ports, label, e, r)
 
 
 SIZED_CALLS = {

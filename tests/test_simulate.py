@@ -30,7 +30,7 @@ from portwalk.errors import (
     InvalidLimitError,
     InvalidVertexError,
 )
-from portwalk.experiments import _successors, battery
+from portwalk.experiments import _Row, battery
 from portwalk.graphs import (
     PathLabeling,
     build_clique_pendant,
@@ -625,35 +625,19 @@ class TestCompiledLoop:
 
 
 class TestRowLayout:
-    """_successors stores each row rotated by one: visit index c reads entry
-    c % P, never a negative index."""
-
-    @pytest.mark.parametrize("period", range(1, 6))
-    def test_cycle_rows_rotated(self, period):
-        row = (10, 11, 12)
-        for seq in itertools.product((1, 2, 3), repeat=period):
-            nexts, exits = _successors(row, seq), _successors(_arcs(7, 3), seq)
-            assert isinstance(nexts, list) and len(nexts) == period
-            for c in range(1, 3 * period + 1):
-                i = c % len(seq)
-                port = seq[(c - 1) % period]
-                assert i >= 0
-                assert nexts[i] == row[port - 1]
-                assert exits[i] == (7, port)
+    """The brute force's row walk reads _Row entry c at visit count c."""
 
     def test_iterator_rows_read_in_order(self):
         table = [2, 3, 1, 1, 2]
         seq = port_sequence(ScriptedPortFunction({3: table}, "fail"), 3)
         row = (10, 11, 12)
-        nexts, exits = _successors(row, seq), _successors(_arcs(7, 3), seq)
+        nexts, exits = _Row(row, seq), _Row(_arcs(7, 3), seq)
         for c, port in enumerate(table, 1):
-            i = c % len(seq)
-            assert i >= 0
-            assert nexts[i] == row[port - 1]
-            assert exits[i] == (7, port)
+            assert nexts[c] == row[port - 1]
+            assert exits[c] == (7, port)
             assert seq.read == table[:c]  # no read-ahead
         with pytest.raises(HorizonExceededError):
-            nexts[(len(table) + 1) % len(seq)]
+            nexts[len(table) + 1]
 
 
 class Counting(CallBased):
