@@ -11,10 +11,10 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, cycle
 from typing import Iterable, Sequence
 
-from .agents import CyclicAgent, PortFunction, RotorRouter, port_sequence
+from .agents import CyclicAgent, PortFunction, RotorRouter, _Ports, port_sequence
 from .adversary import (
     CubicBoundReport,
     PathBoundReport,
@@ -106,41 +106,29 @@ class BruteForceResult:
     unstopped: int
 
 
-class _Row:
-    """Successor row of one node for the row walk.
-
-    Entry i is the neighbour in row behind port_d(i) = ports[(i - 1) % P],
-    ports a port_sequence of period P. An iterator agent's sequence is
-    read in order, the first time each index is asked for; a cycle is
-    repeated (an agent may have a cycle at one degree and an iterator at
-    the other).
-    """
-
-    def __init__(self, row: tuple, ports: Sequence[int]):
-        self.row, self.ports, self.period = row, ports, len(ports)
-
-    def __getitem__(self, i: int):
-        return self.row[self.ports[(i - 1) % self.period] - 1]
-
-
 def _row_walk(paths: list, by_degree: dict, label: list[int], cap: int):
-    """The segment kernel that steps the walk, one _Row read per step.
+    """The segment kernel that steps the walk, one port read per step.
 
     It serves every agent with an iterator among its port sequences, so
     an iterator is advanced once per index some walk reaches, and the
-    first index that raises is reached in walk order. counts[v] is v's
-    visit count.
+    first index that raises is reached in walk order. A node with c exits
+    so far leaves by port ports[c] of its degree's port_sequence; a cycle
+    beside an iterator is read through _Ports(itertools.cycle(t), d), so
+    that no index wraps. counts[v] is v's exit count.
     """
-    succ = [[_Row(row, by_degree[len(row)]) for row in p] for p in paths]
+    seqs = {d: _Ports(cycle(s), d) if isinstance(s, tuple) else s
+            for d, s in by_degree.items()}
+    ports = [seqs[len(row)] for row in paths[0]]
     rows = [None] * len(label)
 
     def segment(j: int, counts: list[int], steps: int) -> int | None:
-        rows[j] = succ[label[j] - 1][j]
+        rows[j] = paths[label[j] - 1][j]
         cur = j
         while steps < cap:
-            cur = rows[cur][counts[cur]]
+            c = counts[cur]
+            counts[cur] = c + 1
+            cur = rows[cur][ports[cur][c] - 1]
             steps += 1
-            counts[cur] += 1
             if cur < j:
                 return steps
         return None
@@ -185,8 +173,8 @@ def _excursions(ports: tuple[int, ...], label: list[int], cap: int):
     ones, and so on up to v_n, whose one port always leads back. Level u,
     owing r inward exits, makes _exits_to_inward(counts[u], r, ...) exits
     in the segment; their sum is the segment's steps. counts[u] is u's exit
-    count, read and written for the internal nodes only: the node a
-    segment starts from has none yet.
+    count, as in _row_walk; only the internal nodes' counts are kept, as
+    v_n's one port needs none.
     """
     period = len(ports)
     forms = [None] + [_inward_exits(ports, label) for label in (1, 2)]
@@ -225,19 +213,19 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     first arrival at v_i it depends only on the labels of v_(i+1)..v_(n-1).
     There the search branches on v_i's label, and each branch runs one
     segment, to the first arrival at v_(i-1), from a copy of the walk
-    state (a count per node). A segment that passes the cap counts all
-    2^(i-2) labelings below it as unstopped at once. Among labelings of
-    equal worst cost the result keeps the lexicographically smallest
+    state (each node's exit count). A segment that passes the cap counts
+    all 2^(i-2) labelings below it as unstopped at once. Among labelings
+    of equal worst cost the result keeps the lexicographically smallest
     toward_far (the first in the order of itertools.product((1, 2), ...)).
 
     Two kernels run a segment. When every port sequence read is a cycle,
     _excursions adds it up in O(n) arithmetic with no step simulated.
-    Otherwise _row_walk steps it on rows over build_path's rows of the
-    all-1 and all-2 labelings, indexed by visit count (not run()'s
-    iterators: copying itertools objects is deprecated since Python
-    3.12). An iterator agent is then advanced once per index that some
-    walk reaches, and if some walks raise, the error raised is that of
-    the first such labeling in product order.
+    Otherwise _row_walk steps it on build_path's rows of the all-1 and
+    all-2 labelings, reading each node's port_sequence at its exit count
+    (not run()'s iterators: copying itertools objects is deprecated since
+    Python 3.12). An iterator agent is then advanced once per index that
+    some walk reaches, and if some walks raise, the error raised is that
+    of the first such labeling in product order.
     """
     whole(n, "n", InvalidSizeError, 2, 14)
     cap = _cap(cap, n)
@@ -251,11 +239,13 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
         segment = _excursions(by_degree.get(2, ()), label, cap)
     else:
         segment = _row_walk(paths, by_degree, label, cap)
-    worst: tuple[int, tuple[int, ...]] | None = None  # (-steps, toward_far)
+    # The worst case so far, its steps and toward_far; best = 0 means none
+    # yet, as a finishing walk takes at least one step.
+    best, best_labels = 0, None
     unstopped = 0
     error: tuple[tuple[int, ...], Exception] | None = None
-    # (j, label of j, counts, steps): a walk at its first arrival at j.
-    stack = [(top, 1, [0] * top + [1], 0)]
+    # (j, label of j, exit counts, steps): a walk at its first arrival at j.
+    stack = [(top, 1, [0] * n, 0)]
     while stack:
         j, label[j], counts, steps = stack.pop()
         try:
@@ -269,20 +259,20 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
             continue
         if steps is None:
             unstopped += 1 << (j - 1)
-        elif j == 1:
-            leaf = (-steps, tuple(label[1:top]))
-            if worst is None or leaf < worst:
-                worst = leaf
-        else:
+        elif j > 1:
             stack.append((j - 1, 2, counts.copy(), steps))
             stack.append((j - 1, 1, counts, steps))
+        elif steps >= best:  # only a walk that can win builds its labels
+            labels = tuple(label[1:top])
+            if steps > best or labels < best_labels:
+                best, best_labels = steps, labels
     if error is not None:
         raise error[1]
-    if worst is None:
+    if best_labels is None:
         return BruteForceResult(n=n, max_steps=None, labeling=None,
                                 unstopped=unstopped)
-    return BruteForceResult(n=n, max_steps=-worst[0],
-                            labeling=PathLabeling(n, worst[1]),
+    return BruteForceResult(n=n, max_steps=best,
+                            labeling=PathLabeling(n, best_labels),
                             unstopped=unstopped)
 
 

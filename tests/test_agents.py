@@ -487,3 +487,12 @@ class TestOneReader:
         assert short[0] == 2
         with pytest.raises(AgentViolationError, match="^agent returned port None at degree 2$"):
             short[1]
+        # a fail script is read in order, one entry per index, never ahead
+        table = [2, 3, 1, 1, 2]
+        script = port_sequence(ScriptedPortFunction({3: table}, "fail"), 3)
+        for c, port in enumerate(table, 1):
+            assert script[c - 1] == port
+            assert script.read == table[:c]
+        for i in (len(table), len(table) + 1):
+            with pytest.raises(HorizonExceededError, match="^degree-3 table has 5 entries"):
+                script[i]

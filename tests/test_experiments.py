@@ -17,6 +17,7 @@ from portwalk.agents import (
     PortFunction,
     RotorRouter,
     ScriptedPortFunction,
+    WhiteboardAgent,
     derive_port_function,
     memory_lower_bound_check,
     whiteboard_rotor_router,
@@ -197,6 +198,22 @@ class TestBruteForceMatchesReference:
         assert finished.max_steps is not None  # some labelings finish first
         want = outcome(reference_enumeration, agent, n)
         assert want[0] is HorizonExceededError
+        assert outcome(brute_force_path_worst_case, agent, n) == want
+
+    @pytest.mark.parametrize("bits, first_n, degree", [
+        (3, 6, 2),
+        (lambda d: 2 if d == 1 else 3, 5, 1),
+    ], ids=["3-bits", "2-bits-at-degree-1"])
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_whiteboard_runs_out_of_memory(self, bits, first_n, degree, n):
+        # the node state counts exits, so it outgrows its budget mid-enumeration
+        agent = WhiteboardAgent(lambda s, d: (s + 1, 1 + s % d), memory_bits=bits)
+        want = outcome(reference_enumeration, agent, n)
+        if n >= first_n:
+            assert want[0] is AgentViolationError
+            assert want[1].endswith(f"bits at degree {degree}")
+        else:
+            assert isinstance(want, BruteForceResult)
         assert outcome(brute_force_path_worst_case, agent, n) == want
 
     @given(script_tables(), st.sampled_from(["cycle", "fail"]), st.integers(2, 8),

@@ -20,7 +20,6 @@ from portwalk.agents import (
     RotorRouter,
     ScriptedPortFunction,
     WhiteboardAgent,
-    port_sequence,
     whiteboard_rotor_router,
 )
 from portwalk.errors import (
@@ -30,7 +29,7 @@ from portwalk.errors import (
     InvalidLimitError,
     InvalidVertexError,
 )
-from portwalk.experiments import _Row, battery
+from portwalk.experiments import battery
 from portwalk.graphs import (
     PathLabeling,
     build_clique_pendant,
@@ -40,7 +39,6 @@ from portwalk.graphs import (
     relabel,
 )
 from portwalk.simulate import (
-    _arcs,
     arc_traversals,
     export_trace,
     outports_taken,
@@ -622,22 +620,6 @@ class TestCompiledLoop:
                 return bad(d)
         with pytest.raises(AgentViolationError):
             run(path3(), BadCycle(), 2, ("steps", 2))
-
-
-class TestRowLayout:
-    """The brute force's row walk reads _Row entry c at visit count c."""
-
-    def test_iterator_rows_read_in_order(self):
-        table = [2, 3, 1, 1, 2]
-        seq = port_sequence(ScriptedPortFunction({3: table}, "fail"), 3)
-        row = (10, 11, 12)
-        nexts, exits = _Row(row, seq), _Row(_arcs(7, 3), seq)
-        for c, port in enumerate(table, 1):
-            assert nexts[c] == row[port - 1]
-            assert exits[c] == (7, port)
-            assert seq.read == table[:c]  # no read-ahead
-        with pytest.raises(HorizonExceededError):
-            nexts[len(table) + 1]
 
 
 class Counting(CallBased):
