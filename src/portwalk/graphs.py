@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Iterable, Sequence
 
@@ -282,27 +283,36 @@ def validate(g: PortLabeledGraph) -> list[str]:
     """Check every structural invariant; return [] when the graph is sound.
 
     Violations are returned as human-readable strings naming the node or
-    edge and the invariant broken; they are data, not exceptions.
+    edge and the invariant broken; they are data, not exceptions. One
+    C-level pass checks that every entry is an int in range; each row is
+    then checked by its set for repeats and self-loops. The per-entry loop
+    that builds the messages runs on every row when that pass fails, and
+    otherwise only on a row whose set check fails.
     """
     out: list[str] = []
     if g.n < 1:
         return [f"node count {g.n} is not positive"]
     if len(g.port_map) != g.n:
         return [f"port_map has {len(g.port_map)} rows for {g.n} nodes"]
+    flat = [*chain.from_iterable(g.port_map)]
+    ints = (set(map(type, flat)) <= {int}
+            and (not flat or 0 <= min(flat) and max(flat) <= g.n - 1))
     neighbors: list[set[int]] = []
     for v, row in enumerate(g.port_map):
-        seen: set[int] = set()
+        seen = set(row) if ints else set()  # an unhashable entry fails the type check
+        if not ints or len(seen) != len(row) or v in seen:
+            seen.clear()
+            for p, w in enumerate(row, start=1):
+                if not is_whole(w, 0, g.n - 1):
+                    out.append(f"node {v} port {p}: neighbor {w!r} out of range")
+                    continue
+                if w == v:
+                    out.append(f"node {v} port {p}: self-loop")
+                    continue
+                if w in seen:
+                    out.append(f"node {v}: neighbor {w} listed twice (parallel edge)")
+                seen.add(w)
         neighbors.append(seen)
-        for p, w in enumerate(row, start=1):
-            if not is_whole(w, 0, g.n - 1):
-                out.append(f"node {v} port {p}: neighbor {w!r} out of range")
-                continue
-            if w == v:
-                out.append(f"node {v} port {p}: self-loop")
-                continue
-            if w in seen:
-                out.append(f"node {v}: neighbor {w} listed twice (parallel edge)")
-            seen.add(w)
     if out:
         return out
     for v, row in enumerate(g.port_map):
@@ -311,7 +321,7 @@ def validate(g: PortLabeledGraph) -> list[str]:
                 out.append(f"edge {v}-{w}: {w} lists {v} 0 times (asymmetry)")
     if out:
         return out
-    if g.n > 0 and any(x is None for x in bfs_distances(g, 0)):
+    if any(x is None for x in bfs_distances(g, 0)):
         out.append("graph is disconnected")
     return out
 
@@ -356,10 +366,11 @@ def deserialize(text: str) -> PortLabeledGraph:
     whole(n, "field 'n'", GraphParseError)
     if not isinstance(ports, list) or not all(isinstance(r, list) for r in ports):
         raise GraphParseError("field 'ports' must be a list of lists")
-    for v, row in enumerate(ports):
-        for w in row:
-            if not is_whole(w):
-                raise GraphParseError(f"field 'ports' row {v}: non-integer entry")
+    if not set(map(type, chain.from_iterable(ports))) <= {int}:
+        for v, row in enumerate(ports):
+            for w in row:
+                if not is_whole(w):
+                    raise GraphParseError(f"field 'ports' row {v}: non-integer entry")
     if len(ports) != n:
         raise GraphSemanticError(f"'ports' has {len(ports)} rows for n={n}")
     g = _as_graph(n, ports)

@@ -27,8 +27,8 @@ count is read from its count once, after the walk. Every node not yet
 visited shares one iterator whose next() raises _FirstVisit, so first
 visits cost one exception each and nothing per step. A recorded walk
 also zips in the node's shared (node, port) tuples, one per arc, so
-recording a step appends an 8-byte pointer; export_trace joins the step
-rows in chunks.
+recording a step appends an 8-byte pointer; export_trace formats a chunk
+of per-arc row templates with one %.
 Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 
@@ -266,17 +266,20 @@ def export_trace(trace: SimulationTrace) -> str:
     """Column-separated trace document.
 
     One row per step (step,node,outport,next_node), then a summary block
-    with covered_at and per-node first_visit / visit_counts. The step rows
-    are joined _CHUNK at a time, so at most one chunk's row strings live.
+    with covered_at and per-node first_visit / visit_counts. Each arc's
+    row is a template "%d,v,p,w" built once per call; a chunk of _CHUNK
+    moves is its templates joined, then formatted by one % with its step
+    numbers, so at most one chunk's row strings live.
     """
     g = trace.graph
-    arcs = [[f"{v},{p},{w}" for p, w in enumerate(row, 1)]
+    arcs = [[f"%d,{v},{p},{w}" for p, w in enumerate(row, 1)]
             for v, row in enumerate(g.port_map)]
     moves = _moves(trace)
     lines = ["step,node,outport,next_node"]
     for s in range(0, len(moves), _CHUNK):
-        lines.append("\n".join([f"{k},{arcs[node][p - 1]}"
-                                for k, (node, p) in enumerate(moves[s:s + _CHUNK], s)]))
+        chunk = moves[s:s + _CHUNK]
+        lines.append("\n".join([arcs[v][p - 1] for v, p in chunk])
+                     % tuple(range(s, s + len(chunk))))
     lines.append("summary")
     covered = "none" if trace.covered_at is None else str(trace.covered_at)
     lines.append(f"covered_at,{covered}")

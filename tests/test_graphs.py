@@ -1,6 +1,7 @@
 """Graph model: builders, invariants, validation, serialization."""
 
 import hashlib
+import json
 import time
 from random import Random
 
@@ -334,6 +335,134 @@ class TestValidate:
 
     def test_row_count(self):
         assert validate(PortLabeledGraph(2, ((1,),))) == ["port_map has 1 rows for 2 nodes"]
+
+
+def validate_per_entry(n, rows):
+    """validate as one check per entry, the loop that writes its messages."""
+    out = []
+    if n < 1:
+        return [f"node count {n} is not positive"]
+    if len(rows) != n:
+        return [f"port_map has {len(rows)} rows for {n} nodes"]
+    neighbors = []
+    for v, row in enumerate(rows):
+        seen = set()
+        neighbors.append(seen)
+        for p, w in enumerate(row, start=1):
+            if not (isinstance(w, int) and not isinstance(w, bool) and 0 <= w <= n - 1):
+                out.append(f"node {v} port {p}: neighbor {w!r} out of range")
+                continue
+            if w == v:
+                out.append(f"node {v} port {p}: self-loop")
+                continue
+            if w in seen:
+                out.append(f"node {v}: neighbor {w} listed twice (parallel edge)")
+            seen.add(w)
+    if out:
+        return out
+    for v, row in enumerate(rows):
+        for w in row:
+            if v not in neighbors[w]:
+                out.append(f"edge {v}-{w}: {w} lists {v} 0 times (asymmetry)")
+    if out:
+        return out
+    reached, queue = {0}, [0]
+    for v in queue:
+        for w in rows[v]:
+            if w not in reached:
+                reached.add(w)
+                queue.append(w)
+    return [] if len(reached) == n else ["graph is disconnected"]
+
+
+def deserialize_per_entry(n, rows):
+    """The error deserialize raises on {"n": n, "ports": rows}, checked entry
+    by entry, as (type, message); None for a sound document."""
+    for v, row in enumerate(rows):
+        for w in row:
+            if not isinstance(w, int) or isinstance(w, bool):
+                return GraphParseError, f"field 'ports' row {v}: non-integer entry"
+    if len(rows) != n:
+        return GraphSemanticError, f"'ports' has {len(rows)} rows for n={n}"
+    problems = validate_per_entry(n, rows)
+    return (GraphSemanticError, "; ".join(problems)) if problems else None
+
+
+CORRUPTIONS = ("bool", "float", "negative", "past_n", "self_loop", "repeat", "one_sided",
+               "drop", "list")
+
+
+@st.composite
+def corrupted_port_maps(draw):
+    """A random connected graph's rows, perhaps beside a second component,
+    with up to three entries replaced, inserted or dropped."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(n - 1, n * (n - 1) // 2))
+    rows = [list(r) for r in random_connected_graph(n, m, draw(st.integers(0, 999))).port_map]
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 4))
+        other = random_connected_graph(k, k - 1, draw(st.integers(0, 999)))
+        rows += [[w + n for w in r] for r in other.port_map]
+    size = len(rows)
+    for _ in range(draw(st.integers(0, 3))):
+        v = draw(st.integers(0, size - 1))
+        row = rows[v]
+        kind = draw(st.sampled_from(CORRUPTIONS))
+        if kind == "drop":
+            if row:
+                del row[draw(st.integers(0, len(row) - 1))]
+            continue
+        if kind == "bool":
+            value = draw(st.booleans())
+        elif kind == "float":
+            value = float(draw(st.integers(0, size - 1)))
+        elif kind == "negative":
+            value = draw(st.integers(-3, -1))
+        elif kind == "past_n":
+            value = draw(st.integers(size, size + 2))
+        elif kind == "self_loop":
+            value = v
+        elif kind == "repeat":
+            value = draw(st.sampled_from(row)) if row else v
+        elif kind == "one_sided":
+            value = draw(st.integers(0, size - 1))
+        else:
+            value = draw(st.lists(st.integers(0, size), max_size=2))
+        i = draw(st.integers(0, len(row)))
+        if i < len(row) and draw(st.booleans()):
+            row[i] = value
+        else:
+            row.insert(i, value)
+    return rows
+
+
+class TestValidateMatchesPerEntryReference:
+    """The set-based checks give the per-entry loop's messages, in order."""
+
+    @given(corrupted_port_maps())
+    @settings(max_examples=200, deadline=None)
+    def test_validate(self, rows):
+        g = PortLabeledGraph(len(rows), tuple(map(tuple, rows)))
+        assert validate(g) == validate_per_entry(len(rows), rows)
+
+    @given(corrupted_port_maps(), st.integers(-1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_deserialize(self, rows, extra):
+        n = len(rows) + extra
+        try:
+            deserialize(json.dumps({"n": n, "ports": rows}))
+            got = None
+        except (GraphParseError, GraphSemanticError) as e:
+            got = type(e), str(e)
+        assert got == deserialize_per_entry(n, rows)
+
+    @pytest.mark.parametrize("rows, message", [
+        ((([1],), (0,)), "node 0 port 1: neighbor [1] out of range"),
+        (((1, [0]), (0,)), "node 0 port 2: neighbor [0] out of range"),
+        (((1,), ([],)), "node 1 port 1: neighbor [] out of range"),
+    ])
+    def test_list_entry_is_out_of_range(self, rows, message):
+        assert validate(PortLabeledGraph(2, rows)) == [message]
 
 
 class TestRelabel:

@@ -37,8 +37,10 @@ from portwalk.graphs import (
     deserialize,
     random_connected_graph,
     relabel,
+    serialize,
 )
 from portwalk.simulate import (
+    _CHUNK,
     arc_traversals,
     export_trace,
     outports_taken,
@@ -706,6 +708,28 @@ class TestExport:
         t = run(g, agent, 0, ("steps", steps))
         assert t.steps == steps
         assert export_trace(t) == one_row_at_a_time(t)
+
+    @given(st.integers(2, 30), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_matches_row_reference_and_oracle(self, n, data):
+        m = data.draw(st.integers(n - 1, min(3 * n, n * (n - 1) // 2)))
+        g = random_connected_graph(n, m, data.draw(st.integers(0, 2 ** 16)))
+        agent = data.draw(st.sampled_from(BATTERY + [whiteboard_rotor_router()]))
+        start = data.draw(st.integers(0, n - 1))
+        steps = data.draw(st.one_of(
+            st.integers(0, 3 * _CHUNK + 1),
+            st.sampled_from([k * _CHUNK + e for k in (1, 2, 3) for e in (-1, 0, 1)])))
+        t = run(g, agent, start, ("steps", steps), cap=3 * _CHUNK + 1)
+        assert t.steps == steps
+        text = export_trace(t)
+        assert text == one_row_at_a_time(t)
+        # The oracle checks every row and the summary; it asks only that a
+        # trace end at coverage, which a fixed step count need not.
+        rule = agent.name if isinstance(agent, CyclicAgent) else "rotor-router"
+        ports = ORACLES.parse_graph_doc(serialize(g))
+        off_cover = [] if t.covered_at == steps else [
+            f"{steps} rows but coverage at step {t.covered_at}"]
+        assert ORACLES.trace_problems(text, ports, rule, start) == off_cover
 
     def test_counters_only_rejected(self):
         t = run(path3(), ROTOR, 2, ("steps", 5), record_moves=False)
