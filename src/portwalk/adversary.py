@@ -50,7 +50,7 @@ from .graphs import (
     replace_pendant_with_path,
     serialize,
 )
-from .simulate import SimulationTrace, _cap, run, visit_count_upto
+from .simulate import SimulationTrace, _cap, _run, run, visit_count_upto
 
 
 @dataclass(frozen=True)
@@ -254,6 +254,7 @@ def verify_cubic_bound(agent: PortFunction, n: int, cap: int | None = None,
     cross-checked: within the first d^2(d-1) steps it must be occupied at
     most d(d-1) times, and a violation fails the check even if the cover
     time looks fine, since it means the construction's accounting broke.
+    One walk is read at step d^2(d-1), then continued to coverage.
     """
     inst = build_cubic_instance(agent, n, start)
     g = inst.graph
@@ -261,12 +262,15 @@ def verify_cubic_bound(agent: PortFunction, n: int, cap: int | None = None,
     v_star = inst.construction_log["v_star"]
     bound = inst.certified_bound
     cap = _cap(cap, g.n)
-    big = run(g, agent, start, "covered", cap=cap, record_moves=False)
-    replay = run(g, agent, start, ("steps", bound), record_moves=False)
-    visits = visit_count_upto(replay, v_star, replay.steps)
+    head = run(g, agent, start, ("steps", bound), record_moves=False)
+    visits = visit_count_upto(head, v_star, head.steps)
     budget = d * (d - 1)
     cross_ok = visits <= budget
-    cover = big.covered_at
+    cover = head.covered_at
+    if cover is None and cap > head.steps:
+        cover = _run(g, agent, start, "covered", cap, False, head).covered_at
+    elif cover is not None and cover > cap:
+        cover = None
     if not cross_ok:
         verdict = "fail"
     elif cover is None:

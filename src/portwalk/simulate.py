@@ -16,26 +16,28 @@ without firing its stop condition is flagged not-stopped rather than
 failed, since several bound checks are conditional on the walk finishing.
 
 run() reads every agent through agents.port_sequence, once per degree of
-the graph, before the first step. Each visited node gets one iterator,
-built on its first visit (the start node's before the first step), so a
-short walk on a large graph builds only what it uses. The k-th next() on
-it yields (k, w), w the node behind port_d(k): k comes from a
-count(1), and a cycle's successors from an itertools.cycle over them in
-port order. So a step is one next() call on C-level iterators, and a
-periodic agent's step makes no call into the agent. A node's visit
-count is read from its count once, after the walk. Every node not yet
-visited shares one iterator whose next() raises _FirstVisit, so first
-visits cost one exception each and nothing per step. A recorded walk
-also zips in the node's shared (node, port) tuples, one per arc, so
-recording a step appends an 8-byte pointer; export_trace formats a chunk
-of per-arc row templates with one %.
+the graph, before the first step; a cycle becomes one operator.itemgetter
+that picks a row's successors in port order. Each visited node gets one
+iterator, built on its first visit (the start node's before the first
+step), so a short walk on a large graph builds only what it uses. The
+k-th next() on it yields (k, w), w the node behind port_d(k): k comes
+from a count(1), and a cycle's successors from itertools.cycle over the
+picked row. So a step is one next() call on C-level iterators, a first
+visit a few C calls and one caught _FirstVisit (the iterator every
+unvisited node shares raises it), and a periodic agent's step makes no
+call into the agent. A node's visit count is read from its count once,
+after the walk. A recorded walk also zips in the node's shared (node,
+port) tuples, one per arc, so recording a step appends an 8-byte
+pointer; export_trace formats a chunk of per-arc row templates with one
+%. The private _run continues a counters-only trace from its last step.
 Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, cycle
+from itertools import count, cycle, repeat
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .agents import PortFunction, port_sequence
@@ -80,7 +82,7 @@ def _cap(cap, n: int) -> int:
 
 def _arcs(v: int, d: int) -> tuple[tuple[int, int], ...]:
     """The moves (v, 1) .. (v, d) out of node v, one tuple per port."""
-    return tuple((v, p) for p in range(1, d + 1))
+    return tuple(zip(repeat(v), range(1, d + 1)))
 
 
 class _FirstVisit(Exception):
@@ -97,32 +99,37 @@ class _Unvisited:
 _UNVISITED = _Unvisited()
 
 
-def _in_order(row: tuple, ports: Sequence[int]) -> Iterator:
-    """row's entries behind port_d(1), port_d(2), ... of an iterator agent.
+def _in_order(row: tuple, ports: Sequence[int], c: int) -> Iterator:
+    """row's entries behind port_d(c + 1), port_d(c + 2), ... of an iterator agent.
 
     Entry i is read from ports, a port_sequence, at the node's (i+1)-th
     departure, so the agent is advanced lazily and in order. A generator:
     it costs less per step than map over a Python-level __getitem__.
     """
-    for i in count():
+    for i in count(c):
         yield row[ports[i] - 1]
 
 
-def _departures(v: int, row: tuple, by_degree: dict, record: bool) -> tuple[count, Iterator]:
+def _departures(v: int, row: tuple, by_degree: dict, record: bool, c=0) -> tuple[count, Iterator]:
     """Node v's departure count and the iterator run() leaves v through.
 
-    row is v's neighbours and by_degree maps each degree to its
-    port_sequence. The k-th next() yields (k, w), w the neighbour behind
-    port_d(k), or (k, (v, port_d(k)), w) when record is set; k comes
-    from the count, so next(count) - 1 is the number of departures taken.
-    A cycle's entries are repeated in port order by itertools.cycle.
+    row is v's neighbours, by_degree maps each degree to its port_sequence
+    or, for a cycle, an itemgetter picking a row's entries in its order,
+    and c counts the departures v has already taken. The k-th next()
+    yields (k, w), w the neighbour behind port_d(k), or (k, (v,
+    port_d(k)), w) when record is set; k comes from the count, so
+    next(count) - 1 is the number of departures taken. itertools.cycle
+    repeats a cycle's picked entries, from entry c (mod its period) on.
     """
-    ports = by_degree[len(row)]
-    rows = (_arcs(v, len(row)), row) if record else (row,)
-    k = count(1)
-    if isinstance(ports, tuple):
-        return k, zip(k, *[cycle([r[q - 1] for q in ports]) for r in rows])
-    return k, zip(k, *[_in_order(r, ports) for r in rows])
+    pick, k = by_degree[len(row)], count(c + 1)
+    if not isinstance(pick, itemgetter):
+        rows = (_arcs(v, len(row)), row) if record else (row,)
+        return k, zip(k, *[_in_order(r, pick, c) for r in rows])
+    if record:
+        return k, zip(k, cycle(pick(_arcs(v, len(row)))), cycle(pick(row)))
+    t = pick(row)
+    c %= len(t)
+    return k, zip(k, cycle(t[c:] + t[:c] if c else t))
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -141,6 +148,13 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
     the first step. Where ports(d) is an iterator, it yields port_d(i) on
     the first visit with index i to a node of degree d.
     """
+    return _run(g, agent, start, stop, cap, record_moves)
+
+
+def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
+         record_moves: bool, head: SimulationTrace | None = None) -> SimulationTrace:
+    """run(); given head, a counters-only trace of this walk, the walk taken on
+    from head.steps (its stop must not fire earlier, and cap >= head.steps)."""
     n = g.n
     whole(start, "start node", InvalidVertexError, 0, n - 1)
     cap = _cap(cap, n)
@@ -161,28 +175,38 @@ def run(g: PortLabeledGraph, agent: PortFunction, start: int,
         raise ValueError(f"unrecognized stop condition {stop!r}")
 
     port_map = g.port_map
-    first_visit: list[int | None] = [None] * n
     moves: list[tuple[int, int]] | None = [] if record_moves else None
     departures: list[count | None] = [None] * n
 
-    cur = start
-    first_visit[cur] = 0
-    unvisited = n - 1
-    covered_at: int | None = 0 if unvisited == 0 else None
+    # A node's exits so far are its occupancies less the current one; read
+    # as head.final, since naming cur in a comprehension makes it a slow cell.
+    if head is None:
+        cur, steps, first_visit, exits = start, 0, [None] * n, [(start, 0)]
+        first_visit[cur] = 0
+    else:
+        cur, steps, first_visit = head.final, head.steps, head.first_visit[:]
+        exits = [(v, k - (v == head.final)) for v, k in enumerate(head.visit_counts) if k]
+    unvisited = first_visit.count(None)
+    covered_at: int | None = None if unvisited else max(first_visit)
     stopped = cur == target or unvisited == stop_unvisited
-    if stopped or not port_map[cur]:
-        limit = 0
+    if stopped:
+        limit = steps
 
     # Each move is one next() on cur's iterator; steps counts the moves
     # made. A node not yet visited holds _UNVISITED, so leaving it raises
     # _FirstVisit without moving, the handler takes the first visit and
     # the loop resumes at the move it did not make. An arrival on the last
     # move has no departure to raise, so it is checked after the loop.
-    steps = 0
-    if limit:
+    # A continued walk's counts live in its iterators, so it builds them even
+    # to take no step. A one-entry cycle's itemgetter takes it twice: a tuple.
+    if port_map[cur] and (limit > steps or head is not None):
         by_degree = {d: port_sequence(agent, d) for d in {len(row) for row in port_map} - {0}}
+        for d, p in by_degree.items():
+            if isinstance(p, tuple):
+                by_degree[d] = itemgetter(*[q - 1 for q in (p * 2 if len(p) == 1 else p)])
         its: list[Iterator] = [_UNVISITED] * n
-        departures[cur], its[cur] = _departures(cur, port_map[cur], by_degree, record_moves)
+        for v, c in exits:
+            departures[v], its[v] = _departures(v, port_map[v], by_degree, record_moves, c)
         while True:
             try:
                 if not record_moves:
@@ -246,11 +270,7 @@ def visit_count_upto(trace: SimulationTrace, v: int, step_limit: int) -> int:
     if step_limit == trace.steps:
         # Every occupancy but the last ended in a move.
         return trace.visit_counts[v] - (trace.final == v)
-    count = 0
-    for node, _ in _moves(trace)[:step_limit]:
-        if node == v:
-            count += 1
-    return count
+    return sum(node == v for node, _ in _moves(trace)[:step_limit])
 
 
 def outports_taken(trace: SimulationTrace, v: int) -> list[int]:

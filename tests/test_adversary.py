@@ -1,5 +1,6 @@
 """Worst-case constructions and their certificates."""
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -282,6 +283,58 @@ class TestVerifyCubicBound:
         assert r.cover is not None and r.cover >= r.bound
         assert r.v_star_visits > r.v_star_budget
         assert r.verdict == "fail" and not r.passed
+
+    @pytest.mark.parametrize("n", [18, 21, 24])
+    @pytest.mark.parametrize("agent", BATTERY, ids=lambda a: a.name)
+    def test_matches_oracle(self, agent, n):
+        # The cap below the bound keeps counting v* over all bound steps,
+        # and a cover counts only when it is within the cap.
+        inst = build_cubic_instance(agent, n)
+        for cap in (None, 10_000, inst.certified_bound // 2):
+            assert_cubic_matches_oracle(agent, n, cap, inst)
+
+    @pytest.mark.parametrize("bound", [268, 4_000])
+    @pytest.mark.parametrize("agent", BATTERY, ids=lambda a: a.name)
+    def test_stretched_bound(self, agent, bound, monkeypatch):
+        # The rotor-router covers the 18-node instance at step 269. A bound
+        # of 268 leaves the cover to the continued walk's first step, and
+        # one of 4,000 puts it inside the walk read for v*'s count, where a
+        # cap below it must still hide it.
+        import portwalk.adversary as adversary
+        build = adversary.build_cubic_instance
+        monkeypatch.setattr(adversary, "build_cubic_instance", lambda *a: dataclasses.replace(
+            build(*a), certified_bound=bound))
+        inst = adversary.build_cubic_instance(agent, 18)
+        for cap in (None, 5, 268, 269, 3_999):
+            assert_cubic_matches_oracle(agent, 18, cap, inst)
+
+    def test_one_walk_on_the_instance(self, monkeypatch):
+        # The rotor-router at n = 180 covers at step 219,779; before the
+        # walk was continued, a second run replayed its first 212,400 steps.
+        import portwalk.adversary as adversary
+        import portwalk.simulate as simulate
+        walked, run_ = [], simulate._run
+
+        def counting(g, agent, start, stop, cap, record_moves, head=None):
+            t = run_(g, agent, start, stop, cap, record_moves, head)
+            walked.append((g, t.steps - (0 if head is None else head.steps)))
+            return t
+        monkeypatch.setattr(simulate, "_run", counting)
+        monkeypatch.setattr(adversary, "_run", counting)
+        r = verify_cubic_bound(ROTOR, 180)
+        assert (r.bound, r.cover, r.verdict) == (212_400, 219_779, "pass")
+        assert sum(steps for g, steps in walked if g is r.instance.graph) == 219_779
+
+
+def assert_cubic_matches_oracle(agent, n, cap, inst):
+    """verify_cubic_bound's cover and v* count against oracles.walk on inst,
+    the instance it builds. The oracle walks on to the bound whatever the
+    cap, so a cover past the cap is dropped here."""
+    r = verify_cubic_bound(agent, n, cap=cap)
+    w = ORACLES.walk([list(row) for row in inst.graph.port_map], inst.start, agent.name,
+                     r.cap, watch=inst.construction_log["v_star"], horizon=inst.certified_bound)
+    cover = w.reached if w.reached is not None and w.reached <= r.cap else None
+    assert (r.cover, r.v_star_visits) == (cover, w.watch_visits)
 
 
 class TestPrefixEquivalence:

@@ -6,6 +6,7 @@ exit uses visit index 1) before the engine existed.
 """
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -32,6 +33,7 @@ from portwalk.errors import (
 from portwalk.experiments import battery
 from portwalk.graphs import (
     PathLabeling,
+    PortLabeledGraph,
     build_clique_pendant,
     build_path,
     deserialize,
@@ -41,6 +43,7 @@ from portwalk.graphs import (
 )
 from portwalk.simulate import (
     _CHUNK,
+    _run,
     arc_traversals,
     export_trace,
     outports_taken,
@@ -316,6 +319,55 @@ class TestEngineMatchesOracle:
             w = ORACLES.walk(ports, start, spec, t.steps, target=v, watch=v, horizon=t.steps)
             assert t.first_visit[v] == w.reached
             assert t.visit_counts[v] == w.watch_visits + (v == t.final)
+
+    @pytest.mark.parametrize("d", range(2, 65))
+    def test_one_entry_table_at_every_degree(self, d):
+        # A one-entry cycle goes through the picker's one-index case.
+        g, ports = pendant_clique(d, d)
+        p = d // 2 + 1
+        assert_matches_oracle(g, ports, {d: [p]}, ScriptedPortFunction({d: [p]}),
+                              d % 3, "covered", 3 * d, d % 2 == 0)
+
+    @given(st.integers(2, 64), st.integers(0, 10 ** 6), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_high_degrees(self, d, seed, data):
+        # The generator above stops at n <= 9; scripted tables reach d = 64.
+        g, ports = pendant_clique(d, seed)
+        spec = data.draw(st.one_of(
+            st.sampled_from(ORACLES.BATTERY),
+            st.fixed_dictionaries({d: st.lists(st.integers(1, d), min_size=1, max_size=2 * d)})))
+        agent = battery()[spec] if isinstance(spec, str) else ScriptedPortFunction(spec)
+        stop = data.draw(st.one_of(
+            st.just("covered"),
+            st.tuples(st.just("target"), st.integers(0, g.n - 1)),
+            st.tuples(st.just("steps"), st.integers(0, 400)),
+        ))
+        assert_matches_oracle(g, ports, spec, agent, data.draw(st.integers(0, g.n - 1)),
+                              stop, data.draw(st.integers(1, 400)), data.draw(st.booleans()))
+
+
+def pendant_clique(d, seed):
+    """A d-clique with a pendant at every clique node, each row's ports
+    shuffled: 2d nodes of degrees d and 1. Returns it and its port lists."""
+    rng = random.Random(seed)
+    g = build_clique_pendant(d, rng.randint(1, d))
+    ports = [rng.sample(row, len(row)) for row in g.port_map]
+    return PortLabeledGraph(g.n, tuple(map(tuple, ports))), ports
+
+
+def assert_matches_oracle(g, ports, spec, agent, start, stop, cap, record):
+    """run() against oracles.walk: steps, stop, coverage, first visits and
+    occupancies of every node."""
+    t = run(g, agent, start, stop, cap=cap, record_moves=record)
+    if stop == "covered" or stop[0] == "target":
+        w = ORACLES.walk(ports, start, spec, cap, target=None if stop == "covered" else stop[1])
+        assert (t.steps, t.stopped) == ((cap, False) if w.reached is None else (w.reached, True))
+    else:
+        assert (t.steps, t.stopped) == (min(stop[1], cap), stop[1] <= cap)
+    assert t.covered_at == ORACLES.walk(ports, start, spec, t.steps).reached
+    for v in range(g.n):
+        w = ORACLES.walk(ports, start, spec, t.steps, target=v, watch=v, horizon=t.steps)
+        assert (t.first_visit[v], t.visit_counts[v]) == (w.reached, w.watch_visits + (v == t.final))
 
 
 class TestCoverTime:
@@ -611,6 +663,11 @@ class TestCompiledLoop:
         assert run_peak <= 16 * t.steps  # the moves list's pointers are 8 B a step
         assert export_peak <= 3 * len(doc)  # the chunks and the joined document are 2x
 
+    def test_walk_state_is_no_closure_cell(self):
+        # A comprehension in _run naming cur made it a cell on Python 3.11,
+        # a cell load and store at every step: 3-4% slower capped walks.
+        assert not {"cur", "steps", "its"} & set(_run.__code__.co_cellvars)
+
     @pytest.mark.parametrize("bad", [
         lambda d: (0,), lambda d: (d + 1,), lambda d: (1.0,), lambda d: (True,),
         lambda d: (1, 0), lambda d: 0, lambda d: d + 1, lambda d: 1.0, lambda d: True,
@@ -664,6 +721,44 @@ class TestLazyPorts:
         with pytest.raises(AgentViolationError, match=f"port {bad + 1} at degree {bad}"):
             run(path3(), agent, 2, ("steps", 2))
         assert agent.calls == []
+
+
+class TestContinuation:
+    """simulate._run taking a counters-only ("steps", k) trace on is one run()."""
+
+    @given(
+        st.tuples(st.integers(2, 9), st.integers(0, 10 ** 6)).flatmap(lambda t: st.tuples(
+            st.just(t[0]), st.integers(t[0] - 1, t[0] * (t[0] - 1) // 2), st.just(t[1]))),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_continued_walk_equals_one_walk(self, params, data):
+        n, m, seed = params
+        g = random_connected_graph(n, m, seed)
+        tables = {d: st.lists(st.integers(1, d), min_size=1, max_size=5)
+                  for d in {len(row) for row in g.port_map}}
+        agent = data.draw(st.one_of(
+            st.sampled_from(BATTERY),
+            st.fixed_dictionaries(tables).map(lambda t: ScriptedPortFunction(t, "cycle")),
+            st.builds(whiteboard_rotor_router),
+        ))
+        start = data.draw(st.integers(0, n - 1))
+        stop = data.draw(st.one_of(
+            st.just("covered"),
+            st.tuples(st.just("target"), st.integers(0, n - 1)),
+            st.tuples(st.just("steps"), st.integers(0, 400)),
+        ))
+        cap = data.draw(st.one_of(st.none(), st.integers(1, 400)))
+        one = run(g, agent, start, stop, cap=cap, record_moves=False)
+        k = data.draw(st.integers(0, one.steps))
+        head = run(g, agent, start, ("steps", k), cap=cap, record_moves=False)
+        got = _run(g, agent, start, stop, cap, False, head)
+        assert got.moves is None
+        assert counters(got) == counters(one)
+
+
+def counters(t):
+    return t.steps, t.final, t.covered_at, t.stopped, t.first_visit, t.visit_counts
 
 
 class TestExport:

@@ -7,24 +7,37 @@ Usage, from the root of a checkout:
 Walks the rotor-router for STEPS steps on the n = 90 cubic
 instance built against it, in three modes: counters-only
 (record_moves=False), recorded, and counters-only as the whiteboard
-rotor-router, an agent whose ports(d) is an iterator. Two more modes
-time the trace path's layers: export_rows_per_s exports that recorded
-walk with export_trace, and deserialize_docs_per_s parses DOCS copies of
-the document of a seeded DOC_N-node graph with m = 2n. Prints one JSON
-object: per mode, the median rate over REPEATS runs, and every repeat's.
-Times are wall-clock on this interpreter, unscaled.
+rotor-router, an agent whose ports(d) is an iterator. first_visits_per_s
+times the rotor-router covering a seeded DOC_N-node graph with m = 2n,
+recorded and counters-only, where first visits take much of the time.
+Two more modes time the trace path's layers: export_rows_per_s exports
+the recorded walk with export_trace, and deserialize_docs_per_s parses
+DOCS copies of that graph's document.
+
+The host's speed drifts by up to 2x between runs, so each repeat is
+scaled as bench/run.py scales a pass: bench/calibrate.kernel() is timed
+just before and just after it, and the rate is multiplied by the
+harmonic mean of those two times over calibrate.REFERENCE_S. That gives
+the rate at the speed of the host the benchmark was calibrated on.
+Prints one JSON object: per mode, the median scaled rate over REPEATS
+runs, every repeat's scaled rate, and the kernel times beside them.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
-from statistics import median
+from pathlib import Path
+from statistics import harmonic_mean, median
 
 from portwalk.adversary import build_cubic_instance
 from portwalk.agents import RotorRouter, whiteboard_rotor_router
 from portwalk.graphs import deserialize, random_connected_graph, serialize
 from portwalk.simulate import export_trace, run
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+import calibrate  # noqa: E402
 
 STEPS = 1_000_000
 REPEATS = 3
@@ -37,14 +50,24 @@ MODES = {
 }
 
 
+def kernel_s() -> float:
+    """Seconds one calibrate.kernel() takes now."""
+    t0 = time.perf_counter()
+    calibrate.kernel()
+    return time.perf_counter() - t0
+
+
 def rates(work, units: int, unit: str) -> dict:
-    """Rates of work(), which does `units` units of work per call."""
-    got = []
+    """Scaled rates of work(), which does `units` units of work per call."""
+    got, kernels = [], []
     for _ in range(REPEATS):
+        before = kernel_s()
         t0 = time.perf_counter()
         work()
-        got.append(units / (time.perf_counter() - t0))
-    return {f"median_{unit}_per_s": median(got), f"{unit}_per_s": got}
+        elapsed = time.perf_counter() - t0
+        kernels.append(harmonic_mean([before, kernel_s()]))
+        got.append(units / elapsed * kernels[-1] / calibrate.REFERENCE_S)
+    return {f"median_{unit}_per_s": median(got), f"{unit}_per_s": got, "kernel_s": kernels}
 
 
 def main() -> None:
@@ -53,9 +76,14 @@ def main() -> None:
     for mode, (agent, record) in MODES.items():
         out[mode] = rates(lambda: run(inst.graph, agent, inst.start, ("steps", STEPS),
                                       record_moves=record), STEPS, "steps")
+    g = random_connected_graph(DOC_N, 2 * DOC_N, seed=1)
+    out["first_visits_per_s"] = {
+        name: rates(lambda: run(g, RotorRouter(), 0, "covered", record_moves=record),
+                    DOC_N, "first_visits")
+        for name, record in (("recorded", True), ("counters_only", False))}
     recorded = run(inst.graph, RotorRouter(), inst.start, ("steps", STEPS))
     out["export_rows_per_s"] = rates(lambda: export_trace(recorded), STEPS, "rows")
-    doc = serialize(random_connected_graph(DOC_N, 2 * DOC_N, seed=1))
+    doc = serialize(g)
     out["deserialize_docs_per_s"] = rates(
         lambda: [deserialize(doc) for _ in range(DOCS)], DOCS, "docs")
     print(json.dumps(out))
