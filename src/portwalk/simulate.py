@@ -19,25 +19,27 @@ run() reads every agent through agents.port_sequence, once per degree of
 the graph, before the first step; a cycle becomes one operator.itemgetter
 that picks a row's successors in port order. Each visited node gets one
 iterator, built on its first visit (the start node's before the first
-step), so a short walk on a large graph builds only what it uses. The
-k-th next() on it yields (k, w), w the node behind port_d(k): k comes
-from a count(1), and a cycle's successors from itertools.cycle over the
-picked row. So a step is one next() call on C-level iterators, a first
-visit a few C calls and one caught _FirstVisit (the iterator every
-unvisited node shares raises it), and a periodic agent's step makes no
-call into the agent. A node's visit count is read from its count once,
-after the walk. A recorded walk also zips in the node's shared (node,
-port) tuples, one per arc, so recording a step appends an 8-byte
-pointer; export_trace formats a chunk of per-arc row templates with one
-%. The private _run continues a counters-only trace from its last step.
+step), so a short walk on a large graph builds only what it uses. It
+yields the nodes behind port_d(1), port_d(2), ... and nothing else: for
+a cycle it runs over a tuple block of the picked successors, whole
+periods of them, so a step is one next() on a tuple iterator and makes
+no call into the agent. A spent block and an unvisited node (all share
+one empty iterator) both raise StopIteration, and one handler refills
+the block, doubled up to _BLOCK entries, or takes the first visit. A
+node's departures are the entries handed to it less its iterator's
+length_hint, read once after the walk. A recorded walk's blocks hold
+((node, port), w) pairs, the (node, port) tuples shared one per arc, so
+recording a step appends an 8-byte pointer; export_trace formats a chunk
+of per-arc row templates with one %. The private _run continues a
+counters-only trace from its last step.
 Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, cycle, repeat
-from operator import itemgetter
+from itertools import count, repeat
+from operator import itemgetter, length_hint, sub
 from typing import Iterator, Sequence
 
 from .agents import PortFunction, port_sequence
@@ -80,56 +82,50 @@ def _cap(cap, n: int) -> int:
     return 4 * n * n * n if cap is None else whole(cap, "cap", InvalidLimitError, 1)
 
 
-def _arcs(v: int, d: int) -> tuple[tuple[int, int], ...]:
-    """The moves (v, 1) .. (v, d) out of node v, one tuple per port."""
-    return tuple(zip(repeat(v), range(1, d + 1)))
+def _arcs(v: int, row: tuple) -> tuple[tuple[tuple[int, int], int], ...]:
+    """The steps ((v, p), w) out of node v, one per port p of its row."""
+    return tuple(zip(zip(repeat(v), range(1, len(row) + 1)), row))
 
 
-class _FirstVisit(Exception):
-    """Raised on leaving a node whose first visit run() has not yet taken."""
+_UNVISITED = iter(())  # every unvisited node's iterator: next() raises StopIteration
+_BLOCK = 256  # the entries a refilled block grows to at most, unless one period is longer
 
 
-class _Unvisited:
-    """The iterator of every node not yet visited: next() raises _FirstVisit."""
-
-    def __next__(self):
-        raise _FirstVisit
-
-
-_UNVISITED = _Unvisited()
-
-
-def _in_order(row: tuple, ports: Sequence[int], c: int) -> Iterator:
+def _in_order(row: tuple, ports: Sequence[int], c: int, taken: list, v: int) -> Iterator:
     """row's entries behind port_d(c + 1), port_d(c + 2), ... of an iterator agent.
 
     Entry i is read from ports, a port_sequence, at the node's (i+1)-th
-    departure, so the agent is advanced lazily and in order. A generator:
-    it costs less per step than map over a Python-level __getitem__.
+    departure, so the agent is advanced lazily and in order; taken[v]
+    becomes i + 1 as it is handed out. A generator: it costs less per
+    step than map over a Python-level __getitem__.
     """
     for i in count(c):
+        taken[v] = i + 1
         yield row[ports[i] - 1]
 
 
-def _departures(v: int, row: tuple, by_degree: dict, record: bool, c=0) -> tuple[count, Iterator]:
-    """Node v's departure count and the iterator run() leaves v through.
+def _departures(v: int, row: tuple, by_degree: dict, record: bool, taken: list, c=0):
+    """(taken, block, iterator): how node v is left after c departures.
 
     row is v's neighbours, by_degree maps each degree to its port_sequence
-    or, for a cycle, an itemgetter picking a row's entries in its order,
-    and c counts the departures v has already taken. The k-th next()
-    yields (k, w), w the neighbour behind port_d(k), or (k, (v,
-    port_d(k)), w) when record is set; k comes from the count, so
-    next(count) - 1 is the number of departures taken. itertools.cycle
-    repeats a cycle's picked entries, from entry c (mod its period) on.
+    or, for a cycle, an itemgetter picking a row's entries in its order.
+    The iterator yields w, the neighbour behind port_d(c + 1), then
+    port_d(c + 2), ..., or ((v, port), w) when record is set. For a cycle
+    it runs over block, the picked entries rotated to c, so one period;
+    taken counts the entries handed to v so far, c + len(block), and
+    taken less the iterator's length_hint is v's departures. An iterator
+    agent's _in_order has no block and keeps taken[v] itself.
     """
-    pick, k = by_degree[len(row)], count(c + 1)
-    if not isinstance(pick, itemgetter):
-        rows = (_arcs(v, len(row)), row) if record else (row,)
-        return k, zip(k, *[_in_order(r, pick, c) for r in rows])
     if record:
-        return k, zip(k, cycle(pick(_arcs(v, len(row)))), cycle(pick(row)))
-    t = pick(row)
-    c %= len(t)
-    return k, zip(k, cycle(t[c:] + t[:c] if c else t))
+        row = _arcs(v, row)
+    pick = by_degree[len(row)]
+    if not isinstance(pick, itemgetter):
+        return c, None, _in_order(row, pick, c, taken, v)
+    block = pick(row)
+    r = c % len(block)
+    if r:
+        block = block[r:] + block[:r]
+    return c + len(block), block, iter(block)
 
 
 def run(g: PortLabeledGraph, agent: PortFunction, start: int,
@@ -176,7 +172,7 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
 
     port_map = g.port_map
     moves: list[tuple[int, int]] | None = [] if record_moves else None
-    departures: list[count | None] = [None] * n
+    taken, its = [0] * n, [_UNVISITED] * n
 
     # A node's exits so far are its occupancies less the current one; read
     # as head.final, since naming cur in a comprehension makes it a slow cell.
@@ -193,35 +189,46 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
         limit = steps
 
     # Each move is one next() on cur's iterator; steps counts the moves
-    # made. A node not yet visited holds _UNVISITED, so leaving it raises
-    # _FirstVisit without moving, the handler takes the first visit and
-    # the loop resumes at the move it did not make. An arrival on the last
-    # move has no departure to raise, so it is checked after the loop.
-    # A continued walk's counts live in its iterators, so it builds them even
-    # to take no step. A one-entry cycle's itemgetter takes it twice: a tuple.
+    # made. Every StopIteration comes from a move not made, and the loop
+    # resumes at it. A node not yet visited holds _UNVISITED, and the
+    # handler takes its first visit. Any other node has spent its block:
+    # it gets the same block again, doubled while that keeps it within
+    # _BLOCK entries, a whole number of periods, so no rotation is needed.
+    # An arrival on the last move has no departure to raise, so it is
+    # checked after the loop. A continued walk's counts live in taken and
+    # its iterators, so it builds them even to take no step. A one-entry
+    # cycle's itemgetter takes it twice: a tuple.
     if port_map[cur] and (limit > steps or head is not None):
         by_degree = {d: port_sequence(agent, d) for d in {len(row) for row in port_map} - {0}}
         for d, p in by_degree.items():
             if isinstance(p, tuple):
                 by_degree[d] = itemgetter(*[q - 1 for q in (p * 2 if len(p) == 1 else p)])
-        its: list[Iterator] = [_UNVISITED] * n
+        blocks: list[tuple | None] = [None] * n
         for v, c in exits:
-            departures[v], its[v] = _departures(v, port_map[v], by_degree, record_moves, c)
+            taken[v], blocks[v], its[v] = _departures(v, port_map[v], by_degree, record_moves,
+                                                      taken, c)
         while True:
             try:
                 if not record_moves:
                     for steps in range(steps, limit):
-                        _, cur = next(its[cur])
+                        cur = next(its[cur])
                 else:
                     append = moves.append
                     for steps in range(steps, limit):
-                        _, move, cur = next(its[cur])
+                        move, cur = next(its[cur])
                         append(move)
                 steps = limit
                 if its[cur] is _UNVISITED:
-                    raise _FirstVisit
+                    raise StopIteration
                 break
-            except _FirstVisit:
+            except StopIteration:
+                if its[cur] is not _UNVISITED:
+                    block = blocks[cur]
+                    if 2 * len(block) <= _BLOCK:
+                        blocks[cur] = block = block * 2
+                    taken[cur] += len(block)
+                    its[cur] = iter(block)
+                    continue
                 first_visit[cur] = steps
                 unvisited -= 1
                 if unvisited == 0:
@@ -229,13 +236,14 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
                 if cur == target or unvisited == stop_unvisited:
                     stopped = True
                     break
-                departures[cur], its[cur] = _departures(cur, port_map[cur], by_degree, record_moves)
+                taken[cur], blocks[cur], its[cur] = _departures(cur, port_map[cur], by_degree,
+                                                                record_moves, taken)
 
     if budget is not None:
         stopped = steps == budget
 
     # A node's occupancies are its departures, plus the final one.
-    visit_counts = [0 if k is None else next(k) - 1 for k in departures]
+    visit_counts = list(map(sub, taken, map(length_hint, its)))
     visit_counts[cur] += 1
     return SimulationTrace(
         graph=g,

@@ -8,13 +8,14 @@ exit uses visit index 1) before the engine existed.
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_modules import load
-from portwalk.adversary import worst_case_path_labeling
+from portwalk.adversary import build_cubic_instance, worst_case_path_labeling
 from portwalk.agents import (
     CyclicAgent,
     PortFunction,
@@ -42,6 +43,7 @@ from portwalk.graphs import (
     serialize,
 )
 from portwalk.simulate import (
+    _BLOCK,
     _CHUNK,
     _run,
     arc_traversals,
@@ -346,6 +348,57 @@ class TestEngineMatchesOracle:
                               stop, data.draw(st.integers(1, 400)), data.draw(st.booleans()))
 
 
+class TestRefills:
+    """Walks long enough that nodes spend many blocks, against bench/oracles.walk."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("period", [1, 2, 3, 7, _BLOCK + 45, "whiteboard"])
+    def test_long_walk(self, period, seed):
+        # n <= 6 and up to 5,000 steps: a node of period p spends blocks of
+        # p, 2p, ... entries, then blocks near _BLOCK, several times over.
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed)
+        ports = [list(row) for row in g.port_map]
+        if period == "whiteboard":
+            spec, agent = "rotor-router", whiteboard_rotor_router()
+        else:
+            spec = {d: [rng.randint(1, d) for _ in range(period)]
+                    for d in {len(row) for row in ports} - {1}}
+            agent = ScriptedPortFunction(spec, "cycle")
+        t = assert_matches_oracle(g, ports, spec, agent, rng.randrange(n),
+                                  ("steps", rng.randint(4000, 5000)), 5000, seed % 2 == 0)
+        assert max(t.visit_counts) > 2 * _BLOCK
+
+    def test_blocks_stay_within_the_cap(self):
+        # biased-112 never covers its n = 30 instance: it leaves three nodes
+        # 27,000 to 43,200 times each in the 4n^3 steps. Blocks that kept
+        # doubling would reach 2^15 entries (256 KB) at each of them.
+        agent = CyclicAgent((1, 1, 2), name="biased-112")
+        inst = build_cubic_instance(agent, 30)
+        n = inst.graph.n
+        tracemalloc.start()
+        try:
+            t = run(inst.graph, agent, inst.start, "covered", record_moves=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (t.steps, t.covered_at) == (4 * 30 ** 3, None)
+        assert max(t.visit_counts) > 100 * _BLOCK
+        assert peak < n * max(_BLOCK, 3) * 8
+
+
+def refill_boundaries(p, limit):
+    """The exit counts up to limit at which a node of period p spends a
+    block in one walk: p, 3p, 7p, ..., then one block near _BLOCK apart."""
+    out, size = [p], p
+    while out[-1] <= limit:
+        if 2 * size <= _BLOCK:
+            size *= 2
+        out.append(out[-1] + size)
+    return out
+
+
 def pendant_clique(d, seed):
     """A d-clique with a pendant at every clique node, each row's ports
     shuffled: 2d nodes of degrees d and 1. Returns it and its port lists."""
@@ -368,6 +421,7 @@ def assert_matches_oracle(g, ports, spec, agent, start, stop, cap, record):
     for v in range(g.n):
         w = ORACLES.walk(ports, start, spec, t.steps, target=v, watch=v, horizon=t.steps)
         assert (t.first_visit[v], t.visit_counts[v]) == (w.reached, w.watch_visits + (v == t.final))
+    return t
 
 
 class TestCoverTime:
@@ -755,6 +809,32 @@ class TestContinuation:
         got = _run(g, agent, start, stop, cap, False, head)
         assert got.moves is None
         assert counters(got) == counters(one)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("period", [1, 2, 3, 7])
+    def test_split_on_a_refill_boundary(self, period, seed):
+        # Split where the head's last departure would spend one walk's block
+        # exactly, and one step past that, where it took a fresh block.
+        rng = random.Random(seed)
+        n = rng.randint(3, 5)
+        g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed)
+        agent = ScriptedPortFunction(
+            {d: [rng.randint(1, d) for _ in range(period)] for d in {len(r) for r in g.port_map}})
+        start, steps = rng.randrange(n), 5000
+        one = run(g, agent, start, ("steps", steps), cap=steps)
+        # A one-entry cycle is picked twice, so its blocks hold two entries.
+        boundaries = set(refill_boundaries(max(period, 2), steps))
+        exits, splits = Counter(), set()
+        for k, (v, _) in enumerate(one.moves):
+            if exits[v] in boundaries:
+                splits |= {k, k + 1}
+            exits[v] += 1
+        assert max(exits.values()) > 3 * _BLOCK
+        assert len(splits) > 10
+        for k in sorted(splits):
+            head = run(g, agent, start, ("steps", k), cap=steps, record_moves=False)
+            assert counters(_run(g, agent, start, ("steps", steps), steps, False, head)) \
+                == counters(one)
 
 
 def counters(t):

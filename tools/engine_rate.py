@@ -7,7 +7,10 @@ Usage, from the root of a checkout:
 Walks the rotor-router for STEPS steps on the n = 90 cubic
 instance built against it, in three modes: counters-only
 (record_moves=False), recorded, and counters-only as the whiteboard
-rotor-router, an agent whose ports(d) is an iterator. first_visits_per_s
+rotor-router, an agent whose ports(d) is an iterator. counters_only_capped
+walks biased-112 for STEPS steps on its own n = 90 instance, which it
+never covers: the shape of the walks that run out the 4n^3 cap, where
+a few nodes are left again and again. first_visits_per_s
 times the rotor-router covering a seeded DOC_N-node graph with m = 2n,
 recorded and counters-only, where first visits take much of the time.
 Two more modes time the trace path's layers: export_rows_per_s exports
@@ -32,7 +35,7 @@ from pathlib import Path
 from statistics import harmonic_mean, median
 
 from portwalk.adversary import build_cubic_instance
-from portwalk.agents import RotorRouter, whiteboard_rotor_router
+from portwalk.agents import CyclicAgent, RotorRouter, whiteboard_rotor_router
 from portwalk.graphs import deserialize, random_connected_graph, serialize
 from portwalk.simulate import export_trace, run
 
@@ -48,6 +51,7 @@ MODES = {
     "recorded_cycle": (RotorRouter(), True),
     "counters_only_whiteboard": (whiteboard_rotor_router(), False),
 }
+CAPPED = CyclicAgent((1, 1, 2), name="biased-112")
 
 
 def kernel_s() -> float:
@@ -76,6 +80,9 @@ def main() -> None:
     for mode, (agent, record) in MODES.items():
         out[mode] = rates(lambda: run(inst.graph, agent, inst.start, ("steps", STEPS),
                                       record_moves=record), STEPS, "steps")
+    capped = build_cubic_instance(CAPPED, 90)
+    out["counters_only_capped"] = rates(lambda: run(
+        capped.graph, CAPPED, capped.start, ("steps", STEPS), record_moves=False), STEPS, "steps")
     g = random_connected_graph(DOC_N, 2 * DOC_N, seed=1)
     out["first_visits_per_s"] = {
         name: rates(lambda: run(g, RotorRouter(), 0, "covered", record_moves=record),
