@@ -106,7 +106,7 @@ class BruteForceResult:
     unstopped: int
 
 
-def _row_walk(paths: list, by_degree: dict, label: list[int], cap: int):
+def _row_walk(n: int, by_degree: dict, label: list[int], cap: int):
     """The segment kernel that steps the walk, one port read per step.
 
     It serves every agent with an iterator among its port sequences, so
@@ -116,6 +116,7 @@ def _row_walk(paths: list, by_degree: dict, label: list[int], cap: int):
     beside an iterator is read through _Ports(itertools.cycle(t), d), so
     that no index wraps. counts[v] is v's exit count.
     """
+    paths = [build_path(PathLabeling(n, (l,) * (n - 2))).port_map for l in (1, 2)]
     seqs = {d: _Ports(cycle(s), d) if isinstance(s, tuple) else s
             for d, s in by_degree.items()}
     ports = [seqs[len(row)] for row in paths[0]]
@@ -222,23 +223,23 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
     _excursions adds it up in O(n) arithmetic with no step simulated.
     Otherwise _row_walk steps it on build_path's rows of the all-1 and
     all-2 labelings, reading each node's port_sequence at its exit count
-    (not run()'s iterators: copying itertools objects is deprecated since
-    Python 3.12). An iterator agent is then advanced once per index that
-    some walk reaches, and if some walks raise, the error raised is that
-    of the first such labeling in product order.
+    (not run()'s iterators: for an agent with an iterator they are
+    _in_order generators, which cannot be copied). An iterator agent is
+    then advanced once per index that some walk reaches, and if some
+    walks raise, the error raised is that of the first such labeling in
+    product order.
     """
     whole(n, "n", InvalidSizeError, 2, 14)
     cap = _cap(cap, n)
-    # Node v_k has id k - 1; label[v] is v's toward_far.
-    paths = [build_path(PathLabeling(n, (l,) * (n - 2))).port_map for l in (1, 2)]
-    by_degree = {d: port_sequence(agent, d) for d in sorted({len(r) for r in paths[0]})}
+    # Node v_k has id k - 1, of degree 2 unless k is 1 or n; label[v] is v's toward_far.
+    by_degree = {d: port_sequence(agent, d) for d in ((1, 2) if n > 2 else (1,))}
     top = n - 1
     label = [0] * n
     if all(isinstance(seq, tuple) for seq in by_degree.values()):
         # at n = 2 no node has degree 2, and no level is ever evaluated
         segment = _excursions(by_degree.get(2, ()), label, cap)
     else:
-        segment = _row_walk(paths, by_degree, label, cap)
+        segment = _row_walk(n, by_degree, label, cap)
     # The worst case so far, its steps and toward_far; best = 0 means none
     # yet, as a finishing walk takes at least one step.
     best, best_labels = 0, None

@@ -31,7 +31,9 @@ length_hint, read once after the walk. A recorded walk's blocks hold
 ((node, port), w) pairs, the (node, port) tuples shared one per arc, so
 recording a step appends an 8-byte pointer; export_trace formats a chunk
 of per-arc row templates with one %. The private _run continues a
-counters-only trace from its last step.
+counters-only trace from its last step: it copies the walk's state, which
+is cur, steps, first_visit and each node's exit count, and builds a
+node's iterator at that count when the walk first leaves it.
 Nodes, the cap and step counts are checked once per call by errors.whole.
 """
 
@@ -104,8 +106,8 @@ def _in_order(row: tuple, ports: Sequence[int], c: int, taken: list, v: int) -> 
         yield row[ports[i] - 1]
 
 
-def _departures(v: int, row: tuple, by_degree: dict, record: bool, taken: list, c=0):
-    """(taken, block, iterator): how node v is left after c departures.
+def _departures(v: int, row: tuple, by_degree: dict, record: bool, taken: list):
+    """(taken, block, iterator): how node v is left after its c = taken[v] departures.
 
     row is v's neighbours, by_degree maps each degree to its port_sequence
     or, for a cycle, an itemgetter picking a row's entries in its order.
@@ -116,6 +118,7 @@ def _departures(v: int, row: tuple, by_degree: dict, record: bool, taken: list, 
     taken less the iterator's length_hint is v's departures. An iterator
     agent's _in_order has no block and keeps taken[v] itself.
     """
+    c = taken[v]
     if record:
         row = _arcs(v, row)
     pick = by_degree[len(row)]
@@ -156,9 +159,9 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
     cap = _cap(cap, n)
 
     # The walk stops at its first arrival at target, or at the first visit
-    # that leaves stop_unvisited nodes unvisited (-1 stands for neither).
-    # A ("steps", k) run counts as stopped when it made exactly k moves.
-    target, stop_unvisited, budget, limit = -1, -1, None, cap
+    # that leaves stop_unvisited nodes unvisited, or after budget moves
+    # (-1 stands for none of them).
+    target, stop_unvisited, budget, limit = -1, -1, -1, cap
     if stop == "covered":
         stop_unvisited = 0
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
@@ -170,43 +173,41 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
     else:
         raise ValueError(f"unrecognized stop condition {stop!r}")
 
+    # The walk's state is cur, steps, first_visit and taken, the entries
+    # handed to each node. A continued walk's taken starts at the head's
+    # exits, its occupancies less the current one, and each node gets its
+    # iterator when the walk first leaves it, at taken[v].
     port_map = g.port_map
     moves: list[tuple[int, int]] | None = [] if record_moves else None
-    taken, its = [0] * n, [_UNVISITED] * n
-
-    # A node's exits so far are its occupancies less the current one; read
-    # as head.final, since naming cur in a comprehension makes it a slow cell.
+    its = [_UNVISITED] * n
     if head is None:
-        cur, steps, first_visit, exits = start, 0, [None] * n, [(start, 0)]
+        cur, steps, first_visit, taken = start, 0, [None] * n, [0] * n
         first_visit[cur] = 0
     else:
         cur, steps, first_visit = head.final, head.steps, head.first_visit[:]
-        exits = [(v, k - (v == head.final)) for v, k in enumerate(head.visit_counts) if k]
+        taken = head.visit_counts[:]
+        taken[cur] -= 1
     unvisited = first_visit.count(None)
-    covered_at: int | None = None if unvisited else max(first_visit)
-    stopped = cur == target or unvisited == stop_unvisited
-    if stopped:
+    if cur == target or unvisited == stop_unvisited:
         limit = steps
 
     # Each move is one next() on cur's iterator; steps counts the moves
     # made. Every StopIteration comes from a move not made, and the loop
-    # resumes at it. A node not yet visited holds _UNVISITED, and the
-    # handler takes its first visit. Any other node has spent its block:
-    # it gets the same block again, doubled while that keeps it within
-    # _BLOCK entries, a whole number of periods, so no rotation is needed.
-    # An arrival on the last move has no departure to raise, so it is
-    # checked after the loop. A continued walk's counts live in taken and
-    # its iterators, so it builds them even to take no step. A one-entry
-    # cycle's itemgetter takes it twice: a tuple.
-    if port_map[cur] and (limit > steps or head is not None):
+    # resumes at it. A node with no iterator yet holds _UNVISITED, and the
+    # handler takes its first visit, if it is one, and builds its
+    # iterator. Any other node has spent its block: it gets the same block
+    # again, doubled while that keeps it within _BLOCK entries, a whole
+    # number of periods, so no rotation is needed. An arrival on the last
+    # move has no departure to raise, so its first visit is checked after
+    # the loop. A one-entry cycle's itemgetter takes it twice: a tuple.
+    if port_map[cur] and limit > steps:
         by_degree = {d: port_sequence(agent, d) for d in {len(row) for row in port_map} - {0}}
         for d, p in by_degree.items():
             if isinstance(p, tuple):
                 by_degree[d] = itemgetter(*[q - 1 for q in (p * 2 if len(p) == 1 else p)])
         blocks: list[tuple | None] = [None] * n
-        for v, c in exits:
-            taken[v], blocks[v], its[v] = _departures(v, port_map[v], by_degree, record_moves,
-                                                      taken, c)
+        taken[cur], blocks[cur], its[cur] = _departures(cur, port_map[cur], by_degree,
+                                                        record_moves, taken)
         while True:
             try:
                 if not record_moves:
@@ -218,7 +219,7 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
                         move, cur = next(its[cur])
                         append(move)
                 steps = limit
-                if its[cur] is _UNVISITED:
+                if first_visit[cur] is None:
                     raise StopIteration
                 break
             except StopIteration:
@@ -229,18 +230,13 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
                     taken[cur] += len(block)
                     its[cur] = iter(block)
                     continue
-                first_visit[cur] = steps
-                unvisited -= 1
-                if unvisited == 0:
-                    covered_at = steps
-                if cur == target or unvisited == stop_unvisited:
-                    stopped = True
-                    break
+                if first_visit[cur] is None:
+                    first_visit[cur] = steps
+                    unvisited -= 1
+                    if cur == target or unvisited == stop_unvisited:
+                        break
                 taken[cur], blocks[cur], its[cur] = _departures(cur, port_map[cur], by_degree,
                                                                 record_moves, taken)
-
-    if budget is not None:
-        stopped = steps == budget
 
     # A node's occupancies are its departures, plus the final one.
     visit_counts = list(map(sub, taken, map(length_hint, its)))
@@ -253,8 +249,8 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
         moves=moves,
         first_visit=first_visit,
         visit_counts=visit_counts,
-        covered_at=covered_at,
-        stopped=stopped,
+        covered_at=None if unvisited else max(first_visit),
+        stopped=steps == budget or cur == target or unvisited == stop_unvisited,
     )
 
 

@@ -248,6 +248,25 @@ class TestBruteForceMatchesOracle:
                                     else PathLabeling(n, want.labeling)), name
 
 
+class TestPathFromEveryStart:
+    """Observed, not proved: from a start at distance m from the nearer end
+    of an n-node path, the rotor-router's worst cover time over all
+    labelings is (n-1)^2 - m^2, and every battery agent has a labeling on
+    which it takes at least that long, or never covers."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_worst_cover_by_start(self, n):
+        graphs = [build_path(PathLabeling(n, bits))
+                  for bits in itertools.product((1, 2), repeat=n - 2)]
+        for s in range(n):
+            bound = (n - 1) ** 2 - min(s, n - 1 - s) ** 2
+            assert max(run(g, ROTOR, s, "covered", record_moves=False).covered_at
+                       for g in graphs) == bound, s
+            for name, agent in battery().items():
+                assert any(t.covered_at is None or t.covered_at >= bound for t in (
+                    run(g, agent, s, "covered", cap=bound, record_moves=False)
+                    for g in graphs)), (name, s)
+
 class Counting(PortFunction):
     """Yields the agent's port_d as an iterator and records every (d, i) it
     is advanced to."""

@@ -190,6 +190,10 @@ class TestReplacePendantWithPath:
             replace_pendant_with_path(g1, 4, PathLabeling(5, (1, 1, 2)))
         with pytest.raises(InvalidVertexError):
             replace_pendant_with_path(g1, 9, PathLabeling(5, (1, 1, 2)))
+        # the right size for a clique-with-pendants graph, but node 0 is a path end
+        with pytest.raises(InvalidVertexError, match="^0 is not a clique node$"):
+            replace_pendant_with_path(build_path(PathLabeling(4, (1, 1))), 0,
+                                      PathLabeling(5, (1, 1, 2)))
 
     @pytest.mark.parametrize("v_star", [1.0, True, None, "0"], ids=repr)
     def test_non_integer_v_star(self, v_star):

@@ -836,6 +836,34 @@ class TestContinuation:
             assert counters(_run(g, agent, start, ("steps", steps), steps, False, head)) \
                 == counters(one)
 
+    @pytest.mark.parametrize("stop, cap", [(("steps", 20), None), (("steps", 30), 20)],
+                             ids=["budget", "cap"])
+    def test_no_step_left_reads_no_ports(self, stop, cap):
+        # A fresh zero-step run() reads no port sequence, and neither does
+        # a continued walk whose stop leaves it no step.
+        g = random_connected_graph(8, 14, seed=3)
+        agent = ReadCounting()
+        run(g, agent, 0, ("steps", 0))
+        assert agent.reads == 0
+        head = run(g, agent, 0, ("steps", 20), record_moves=False)
+        assert agent.reads == len({len(row) for row in g.port_map}) > 1
+        agent.reads = 0
+        got = _run(g, agent, 0, stop, cap, False, head)
+        assert agent.reads == 0
+        assert got.stopped == (cap is None)  # ("steps", 30) stops at the cap unfired
+        assert (got.steps, got.final, got.first_visit, got.visit_counts) \
+            == (head.steps, head.final, head.first_visit, head.visit_counts)
+
+
+class ReadCounting(RotorRouter):
+    """The rotor-router, counting its ports() calls."""
+
+    reads = 0
+
+    def ports(self, d):
+        self.reads += 1
+        return super().ports(d)
+
 
 def counters(t):
     return t.steps, t.final, t.covered_at, t.stopped, t.first_visit, t.visit_counts

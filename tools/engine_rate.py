@@ -10,7 +10,10 @@ instance built against it, in three modes: counters-only
 rotor-router, an agent whose ports(d) is an iterator. counters_only_capped
 walks biased-112 for STEPS steps on its own n = 90 instance, which it
 never covers: the shape of the walks that run out the 4n^3 cap, where
-a few nodes are left again and again. first_visits_per_s
+a few nodes are left again and again. counters_only_continued takes
+that walk, paused untimed after STEPS steps, on for STEPS more through
+simulate._run, as verify_cubic_bound continues its head walk; no
+benchmark span counts that call. first_visits_per_s
 times the rotor-router covering a seeded DOC_N-node graph with m = 2n,
 recorded and counters-only, where first visits take much of the time.
 Two more modes time the trace path's layers: export_rows_per_s exports
@@ -37,7 +40,7 @@ from statistics import harmonic_mean, median
 from portwalk.adversary import build_cubic_instance
 from portwalk.agents import CyclicAgent, RotorRouter, whiteboard_rotor_router
 from portwalk.graphs import deserialize, random_connected_graph, serialize
-from portwalk.simulate import export_trace, run
+from portwalk.simulate import _run, export_trace, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import calibrate  # noqa: E402
@@ -83,6 +86,9 @@ def main() -> None:
     capped = build_cubic_instance(CAPPED, 90)
     out["counters_only_capped"] = rates(lambda: run(
         capped.graph, CAPPED, capped.start, ("steps", STEPS), record_moves=False), STEPS, "steps")
+    head = run(capped.graph, CAPPED, capped.start, ("steps", STEPS), record_moves=False)
+    out["counters_only_continued"] = rates(lambda: _run(
+        capped.graph, CAPPED, capped.start, ("steps", 2 * STEPS), None, False, head), STEPS, "steps")
     g = random_connected_graph(DOC_N, 2 * DOC_N, seed=1)
     out["first_visits_per_s"] = {
         name: rates(lambda: run(g, RotorRouter(), 0, "covered", record_moves=record),
