@@ -21,9 +21,10 @@ iterators.
 
 Every reader of port_d (the walk engine, the brute force, outport(d, i)
 and derive_port_function, which both constructions call) goes through
-port_sequence(agent, d): the checked cycle, or a sequence that advances
-the iterator once per index, the first time it is read. A port is legal
-at degree d when errors.is_whole(p, 1, d); _port is the one port check.
+port_sequence(agent, d), which checks d and gives the checked cycle, or a
+sequence that advances the iterator once per index, the first time it is
+read. A port is legal at degree d when errors.is_whole(p, 1, d); _port is
+the one port check.
 """
 
 from __future__ import annotations
@@ -102,9 +103,10 @@ def port_sequence(agent: PortFunction, d: int) -> Sequence[int]:
     """port_d as a sequence of period len(seq): port_d(i) = seq[(i - 1) % len(seq)].
 
     The agent's ports(d) when that is a cycle, every entry checked by
-    _port, or a _Ports over it when it is an iterator.
+    _port, or a _Ports over it when it is an iterator. Raises
+    InvalidSizeError unless d is an int (not a bool) of at least 1.
     """
-    got = agent.ports(d)
+    got = agent.ports(whole(d, "degree", InvalidSizeError, 1))
     if isinstance(got, Iterator):
         return _Ports(got, d)
     if not isinstance(got, tuple) or not got:

@@ -11,10 +11,10 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
-from itertools import accumulate, cycle
+from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .agents import CyclicAgent, PortFunction, RotorRouter, _Ports, port_sequence
+from .agents import CyclicAgent, PortFunction, RotorRouter, port_sequence
 from .adversary import (
     CubicBoundReport,
     PathBoundReport,
@@ -112,14 +112,13 @@ def _row_walk(n: int, by_degree: dict, label: list[int], cap: int):
     It serves every agent with an iterator among its port sequences, so
     an iterator is advanced once per index some walk reaches, and the
     first index that raises is reached in walk order. A node with c exits
-    so far leaves by port ports[c] of its degree's port_sequence; a cycle
-    beside an iterator is read through _Ports(itertools.cycle(t), d), so
-    that no index wraps. counts[v] is v's exit count.
+    so far leaves by port seq[c % len(seq)] of its degree's port_sequence;
+    an iterator's has length sys.maxsize, so its index never wraps.
+    counts[v] is v's exit count.
     """
     paths = [build_path(PathLabeling(n, (l,) * (n - 2))).port_map for l in (1, 2)]
-    seqs = {d: _Ports(cycle(s), d) if isinstance(s, tuple) else s
-            for d, s in by_degree.items()}
-    ports = [seqs[len(row)] for row in paths[0]]
+    ports = [by_degree[len(row)] for row in paths[0]]
+    periods = [len(seq) for seq in ports]
     rows = [None] * len(label)
 
     def segment(j: int, counts: list[int], steps: int) -> int | None:
@@ -128,7 +127,7 @@ def _row_walk(n: int, by_degree: dict, label: list[int], cap: int):
         while steps < cap:
             c = counts[cur]
             counts[cur] = c + 1
-            cur = rows[cur][ports[cur][c] - 1]
+            cur = rows[cur][ports[cur][c % periods[cur]] - 1]
             steps += 1
             if cur < j:
                 return steps

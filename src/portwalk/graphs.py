@@ -107,16 +107,9 @@ def build_path(labeling: PathLabeling) -> PortLabeledGraph:
     routes port toward_far[i-2] to v_{i+1} and the other port to v_{i-1}.
     """
     n = labeling.n
-    rows: list[list[int]] = [[] for _ in range(n)]
-    rows[0] = [1]
-    rows[n - 1] = [n - 2]
-    for i in range(2, n):  # internal v_i, id i-1
-        away = labeling.toward_far[i - 2]
-        row = [0, 0]
-        row[away - 1] = i      # toward v_{i+1}
-        row[2 - away] = i - 2  # toward v_{i-1}
-        rows[i - 1] = row
-    return _as_graph(n, rows)
+    rows = [[i, i - 2] if away == 1 else [i - 2, i]  # v_i: v_(i+1) is id i, v_(i-1) id i - 2
+            for i, away in enumerate(labeling.toward_far, 2)]
+    return _as_graph(n, [[1], *rows, [n - 2]])
 
 
 def build_clique_pendant(d: int, p: int) -> PortLabeledGraph:
@@ -129,18 +122,10 @@ def build_clique_pendant(d: int, p: int) -> PortLabeledGraph:
     """
     whole(d, "clique degree", InvalidSizeError, 2)
     whole(p, "pendant port", InvalidPortError, 1, d)
-    rows: list[list[int]] = []
-    other_ports = [q for q in range(1, d + 1) if q != p]
-    for k in range(d):
-        row = [0] * d
-        row[p - 1] = d + k
-        neighbors = [j for j in range(d) if j != k]
-        for port, nb in zip(other_ports, neighbors):
-            row[port - 1] = nb
-        rows.append(row)
-    for k in range(d):
-        rows.append([k])
-    return _as_graph(2 * d, rows)
+    rows = [[j for j in range(d) if j != k] for k in range(d)]
+    for k, row in enumerate(rows):
+        row.insert(p - 1, d + k)
+    return _as_graph(2 * d, rows + [[k] for k in range(d)])
 
 
 def replace_pendant_with_path(g1: PortLabeledGraph, v_star: int,

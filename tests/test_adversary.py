@@ -337,6 +337,49 @@ def assert_cubic_matches_oracle(agent, n, cap, inst):
     assert (r.cover, r.v_star_visits) == (cover, w.watch_visits)
 
 
+def oracle_path_walk(agent, n, limit):
+    """oracles.walk from v_n toward v_1 on the agent's majority-labeled path."""
+    g = build_path(worst_case_path_labeling(agent, n))
+    return ORACLES.walk([list(row) for row in g.port_map], n - 1, agent.name, limit, target=0)
+
+
+class TestVacuousRows:
+    """Which pass-vacuous verdicts the oracle proves never finish, and which
+    only outlast their cap."""
+
+    @pytest.mark.parametrize("n", [18, 21, 30])
+    @pytest.mark.parametrize("agent", BATTERY, ids=lambda a: a.name)
+    def test_cubic_vacuous_exactly_when_state_repeats(self, agent, n):
+        # a repeated state of the periodic walk proves it never covers
+        r = verify_cubic_bound(agent, n)
+        inst = r.instance
+        w = ORACLES.walk([list(row) for row in inst.graph.port_map], inst.start,
+                         agent.name, 4 * n ** 3)
+        assert (r.verdict == "pass-vacuous") == (w.repeat is not None)
+
+    def test_always_one_path_repeats_with_period_two(self):
+        for n in range(3, 61):
+            r = verify_path_bound(ALWAYS_1, n)
+            w = oracle_path_walk(ALWAYS_1, n, r.cap)
+            assert r.verdict == "pass-vacuous", n
+            assert w.reached is None and w.repeat[1] == 2, n
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_biased_112_path_finishes_past_the_cap(self, n):
+        # Observed for n = 2..22, not proved: biased-112's walk on its own
+        # majority path reaches v_1 after 2^(n+1) - 3n - 1 steps. Its rows
+        # read pass-vacuous only because that outlasts the cap: from n = 5
+        # under (n-1)^2 + 4n + 4, from n = 8 under the default 8(n-1)^2 + 8.
+        agent = CyclicAgent((1, 1, 2), name="biased-112")
+        steps = 2 ** (n + 1) - 3 * n - 1
+        assert verify_path_bound(agent, n, cap=steps).steps == steps
+        if n <= 12:
+            assert oracle_path_walk(agent, n, steps).reached == steps
+        short = verify_path_bound(agent, n, cap=(n - 1) ** 2 + 4 * n + 4)
+        assert short.verdict == ("pass-vacuous" if n >= 5 else "pass")
+        assert verify_path_bound(agent, n).verdict == ("pass-vacuous" if n >= 8 else "pass")
+
+
 class TestPrefixEquivalence:
     """Moves made at clique/pendant nodes are the same with and without
     the grafted path, which is what makes the probe run's accounting

@@ -14,12 +14,14 @@ from portwalk.adversary import (
     worst_case_path_labeling,
 )
 from portwalk.agents import (
+    CyclicAgent,
     PortFunction,
     RotorRouter,
     ScriptedPortFunction,
     WhiteboardAgent,
     derive_port_function,
     memory_lower_bound_check,
+    port_sequence,
     whiteboard_rotor_router,
 )
 from portwalk.errors import (
@@ -394,6 +396,8 @@ SIZED_CALLS = {
     "build_cubic_instance": lambda: build_cubic_instance(ROTOR, 6.0),
     "brute_force": lambda: brute_force_path_worst_case(ROTOR, 4.0),
     "derive_port_function": lambda: derive_port_function(ROTOR, 2, 3.0),
+    "derive_port_function_degree": lambda: derive_port_function(ROTOR, 2.0, 2),
+    "outport_degree_true": lambda: ROTOR.outport(True, 1),
     "memory_bits": lambda: memory_lower_bound_check(1.5, 2),
 }
 
@@ -402,6 +406,17 @@ SIZED_CALLS = {
 def test_non_integer_size_rejected(call):
     with pytest.raises(InvalidSizeError, match="must be an integer, got"):
         call()
+
+
+@pytest.mark.parametrize("d", [0, -1])
+@pytest.mark.parametrize("read", [
+    lambda d: CyclicAgent((1,)).outport(d, 1),
+    lambda d: derive_port_function(whiteboard_rotor_router(), d, 1),
+    lambda d: port_sequence(CyclicAgent((1,)), d),
+], ids=["outport", "derive_port_function", "port_sequence"])
+def test_degree_below_one_rejected(read, d):
+    with pytest.raises(InvalidSizeError, match=f"^degree must be at least 1, got {d}$"):
+        read(d)
 
 
 class TestPathSweep:
