@@ -28,9 +28,11 @@ one empty iterator) both raise StopIteration, and one handler refills
 the block, doubled up to _BLOCK entries, or takes the first visit. A
 node's departures are the entries handed to it less its iterator's
 length_hint, read once after the walk. A recorded walk's blocks hold
-((node, port), w) pairs, the (node, port) tuples shared one per arc, so
-recording a step appends an 8-byte pointer; export_trace formats a chunk
-of per-arc row templates with one %. The private _run continues a
+(template, w) pairs, template the arc's trace row "%d,v,p,w" waiting for
+its step number, built once per arc of a visited node; recording a step
+appends a pointer to that shared str, and export_trace formats a chunk of
+them with one %. The trace's moves reads the (node, port) tuples back
+from the graph, one per arc. The private _run continues a
 counters-only trace from its last step: it copies the walk's state, which
 is cur, steps, first_visit and each node's exit count, and builds a
 node's iterator at that count when the walk first leaves it.
@@ -39,10 +41,11 @@ Nodes, the cap and step counts are checked once per call by errors.whole.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, repeat
+from itertools import count
 from operator import itemgetter, length_hint, sub
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .agents import PortFunction, port_sequence
 from .errors import InvalidArcError, InvalidLimitError, InvalidVertexError, whole
@@ -54,8 +57,10 @@ class SimulationTrace:
     """Complete record of one run.
 
     moves holds (node, outport) per step in order, or None when the run
-    was taken in counters-only mode. Its tuples are shared: every crossing
-    of one arc is the same object, so the list costs 8 bytes a step.
+    was taken in counters-only mode. It is a read-only sequence over the
+    walk's row templates, one shared str per arc, so it costs 8 bytes a
+    step; it yields one shared tuple per arc and compares equal to the
+    list of them.
     first_visit[v] is the earliest step at which v is occupied (start
     node: 0, never visited: None). covered_at is the step of first full
     coverage, None if coverage was not reached. stopped records whether
@@ -66,14 +71,55 @@ class SimulationTrace:
     start: int
     final: int
     steps: int
-    moves: list[tuple[int, int]] | None
+    moves: Sequence[tuple[int, int]] | None
     first_visit: list[int | None]
     visit_counts: list[int]
     covered_at: int | None
     stopped: bool
 
 
-def _moves(trace: SimulationTrace) -> list[tuple[int, int]]:
+def _arcs(v: int, row: tuple) -> tuple[tuple[str, int], ...]:
+    """The steps (template, w) out of node v, one per port p of its row;
+    template is the step's trace row "%d,v,p,w", less its step number."""
+    return tuple(zip(map(f"%%d,{v},%d,%d".__mod__, enumerate(row, 1)), row))
+
+
+class _Moves(Sequence):
+    """A recorded walk's (node, outport) per step, over its row templates.
+
+    rows is the walk's one shared template per step, so len() is its
+    length. The first other read maps every arc's template, formatted from
+    g's port_map by _arcs, to one (node, port) tuple; no row is parsed.
+    """
+
+    def __init__(self, g: PortLabeledGraph, rows: list[str]):
+        self.rows, self._port_map, self._arc = rows, g.port_map, None
+
+    def _arc_of(self):
+        if self._arc is None:
+            self._arc = {t: (v, p) for v, row in enumerate(self._port_map)
+                         for p, (t, _) in enumerate(_arcs(v, row), 1)}
+        return self._arc.__getitem__
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(map(self._arc_of(), self.rows[k]))
+        return self._arc_of()(self.rows[k])
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return map(self._arc_of(), self.rows)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, _Moves) else other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _moves(trace: SimulationTrace) -> _Moves:
     if trace.moves is None:
         raise ValueError("trace was recorded in counters-only mode")
     return trace.moves
@@ -82,11 +128,6 @@ def _moves(trace: SimulationTrace) -> list[tuple[int, int]]:
 def _cap(cap, n: int) -> int:
     """cap, or 4*n^3 when it is None; InvalidLimitError unless an int >= 1."""
     return 4 * n * n * n if cap is None else whole(cap, "cap", InvalidLimitError, 1)
-
-
-def _arcs(v: int, row: tuple) -> tuple[tuple[tuple[int, int], int], ...]:
-    """The steps ((v, p), w) out of node v, one per port p of its row."""
-    return tuple(zip(zip(repeat(v), range(1, len(row) + 1)), row))
 
 
 _UNVISITED = iter(())  # every unvisited node's iterator: next() raises StopIteration
@@ -112,11 +153,11 @@ def _departures(v: int, row: tuple, by_degree: dict, record: bool, taken: list):
     row is v's neighbours, by_degree maps each degree to its port_sequence
     or, for a cycle, an itemgetter picking a row's entries in its order.
     The iterator yields w, the neighbour behind port_d(c + 1), then
-    port_d(c + 2), ..., or ((v, port), w) when record is set. For a cycle
-    it runs over block, the picked entries rotated to c, so one period;
-    taken counts the entries handed to v so far, c + len(block), and
-    taken less the iterator's length_hint is v's departures. An iterator
-    agent's _in_order has no block and keeps taken[v] itself.
+    port_d(c + 2), ..., or _arcs' (template, w) when record is set. For a
+    cycle it runs over block, the picked entries rotated to c, so one
+    period; taken counts the entries handed to v so far, c + len(block),
+    and taken less the iterator's length_hint is v's departures. An
+    iterator agent's _in_order has no block and keeps taken[v] itself.
     """
     c = taken[v]
     if record:
@@ -178,7 +219,7 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
     # exits, its occupancies less the current one, and each node gets its
     # iterator when the walk first leaves it, at taken[v].
     port_map = g.port_map
-    moves: list[tuple[int, int]] | None = [] if record_moves else None
+    rows: list[str] = []
     its = [_UNVISITED] * n
     if head is None:
         cur, steps, first_visit, taken = start, 0, [None] * n, [0] * n
@@ -214,10 +255,10 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
                     for steps in range(steps, limit):
                         cur = next(its[cur])
                 else:
-                    append = moves.append
+                    append = rows.append
                     for steps in range(steps, limit):
-                        move, cur = next(its[cur])
-                        append(move)
+                        row, cur = next(its[cur])
+                        append(row)
                 steps = limit
                 if first_visit[cur] is None:
                     raise StopIteration
@@ -246,7 +287,7 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
         start=start,
         final=cur,
         steps=steps,
-        moves=moves,
+        moves=_Moves(g, rows) if record_moves else None,
         first_visit=first_visit,
         visit_counts=visit_counts,
         covered_at=None if unvisited else max(first_visit),
@@ -290,20 +331,17 @@ def export_trace(trace: SimulationTrace) -> str:
     """Column-separated trace document.
 
     One row per step (step,node,outport,next_node), then a summary block
-    with covered_at and per-node first_visit / visit_counts. Each arc's
-    row is a template "%d,v,p,w" built once per call; a chunk of _CHUNK
-    moves is its templates joined, then formatted by one % with its step
+    with covered_at and per-node first_visit / visit_counts. The walk
+    recorded each step's row as its arc's template "%d,v,p,w"; a chunk of
+    _CHUNK of them is joined, then formatted by one % with its step
     numbers, so at most one chunk's row strings live.
     """
     g = trace.graph
-    arcs = [[f"%d,{v},{p},{w}" for p, w in enumerate(row, 1)]
-            for v, row in enumerate(g.port_map)]
-    moves = _moves(trace)
+    rows = _moves(trace).rows
     lines = ["step,node,outport,next_node"]
-    for s in range(0, len(moves), _CHUNK):
-        chunk = moves[s:s + _CHUNK]
-        lines.append("\n".join([arcs[v][p - 1] for v, p in chunk])
-                     % tuple(range(s, s + len(chunk))))
+    for s in range(0, len(rows), _CHUNK):
+        chunk = rows[s:s + _CHUNK]
+        lines.append("\n".join(chunk) % tuple(range(s, s + len(chunk))))
     lines.append("summary")
     covered = "none" if trace.covered_at is None else str(trace.covered_at)
     lines.append(f"covered_at,{covered}")

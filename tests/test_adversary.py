@@ -43,7 +43,13 @@ from portwalk.graphs import (
     random_connected_graph,
     validate,
 )
-from portwalk.simulate import arc_traversals, export_trace, run, visit_count_upto
+from portwalk.simulate import (
+    SimulationTrace,
+    arc_traversals,
+    export_trace,
+    run,
+    visit_count_upto,
+)
 
 ORACLES = load("oracles")
 
@@ -121,6 +127,23 @@ class TestVerifyPathBound:
             g = build_path(worst_case_path_labeling(agent, n))
             t = run(g, agent, n - 1, ("target", 0), cap=r.cap)
             assert r.arc_count == arc_traversals(t, n - 1, n - 2)
+
+    @pytest.mark.parametrize("n", [3, 7])
+    @pytest.mark.parametrize("short, verdict", [(1, "fail"), (0, "pass")])
+    def test_start_arc_crossing_rule(self, n, short, verdict, monkeypatch):
+        # A finishing walk of (n-1)^2 steps passes only if it left v_n n-1
+        # times. No agent's own walk crosses that arc fewer times, so the
+        # walk is replaced by a trace that does.
+        import portwalk.adversary as adversary
+
+        def walk(g, agent, start, stop, cap, record_moves):
+            visits = [1] * n
+            visits[start] = n - 1 - short
+            return SimulationTrace(g, start, 0, (n - 1) ** 2, None, [0] * n, visits,
+                                   (n - 1) ** 2, True)
+        monkeypatch.setattr(adversary, "run", walk)
+        r = verify_path_bound(ROTOR, n)
+        assert (r.steps, r.arc_count, r.verdict) == ((n - 1) ** 2, n - 1 - short, verdict)
 
     @pytest.mark.parametrize("n", [2, 5])
     @pytest.mark.parametrize("port", [1.0, None, "1", True])

@@ -108,6 +108,7 @@ class TestBruteForce:
         (9, 0, "9", "pass"),
         (8, 0, "8", "fail"),
         (3, 3, "3", "pass"),
+        (3, 1, "3", "pass"),
         (None, 4, "", "pass"),
     ])
     def test_row_verdict(self, max_steps, unstopped, measured, verdict):

@@ -717,6 +717,34 @@ class TestCompiledLoop:
         assert run_peak <= 16 * t.steps  # the moves list's pointers are 8 B a step
         assert export_peak <= 3 * len(doc)  # the chunks and the joined document are 2x
 
+    def test_moves_length_reads_no_move(self):
+        # The benchmark's tracer reads len(trace.moves) inside the span it
+        # times. A list of the 249,001 moves would be about 2 MB.
+        t = run(build_path(worst_case_path_labeling(ROTOR, 500)), ROTOR, 499, ("target", 0))
+        tracemalloc.start()
+        try:
+            assert len(t.moves) == t.steps == 499 ** 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024
+
+    @pytest.mark.parametrize("agent", [ROTOR, whiteboard_rotor_router()],
+                             ids=["cycle", "iterator"])
+    def test_moves_is_a_read_only_sequence(self, agent):
+        g = random_connected_graph(20, 40, seed=2)
+        assert run(g, agent, 0, ("steps", 300), record_moves=False).moves is None
+        moves = run(g, agent, 0, ("steps", 300)).moves
+        listed = list(moves)
+        assert moves == listed and listed == moves and moves != tuple(listed)
+        assert moves != listed[:-1] and moves == run(g, agent, 0, ("steps", 300)).moves
+        assert [moves[k] for k in (0, 17, -1)] == [listed[k] for k in (0, 17, -1)]
+        assert moves[5:40:3] == listed[5:40:3]
+        assert moves.count(listed[0]) == listed.count(listed[0])
+        assert repr(moves) == repr(listed)
+        with pytest.raises(AttributeError):
+            moves.append((0, 1))
+
     def test_walk_state_is_no_closure_cell(self):
         # A comprehension in _run naming cur made it a cell on Python 3.11,
         # a cell load and store at every step: 3-4% slower capped walks.

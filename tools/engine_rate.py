@@ -16,9 +16,13 @@ simulate._run, as verify_cubic_bound continues its head walk; no
 benchmark span counts that call. first_visits_per_s
 times the rotor-router covering a seeded DOC_N-node graph with m = 2n,
 recorded and counters-only, where first visits take much of the time.
-Two more modes time the trace path's layers: export_rows_per_s exports
-the recorded walk with export_trace, and deserialize_docs_per_s parses
-DOCS copies of that graph's document.
+Three more modes time the trace path's layers: export_rows_per_s exports
+the recorded walk with export_trace, simulate_rows_per_s records the
+rotor-router's worst PATH_N-node path walk and exports it, PATH_WALKS
+times, per row, as `portwalk simulate` does, and deserialize_docs_per_s
+parses DOCS copies of the random graph's document. Work can move between
+the recorded walk and export_trace, so export_rows_per_s alone can
+overstate a change to the trace path; simulate_rows_per_s counts both.
 
 The host's speed drifts by up to 2x between runs, so each repeat is
 scaled as bench/run.py scales a pass: bench/calibrate.kernel() is timed
@@ -37,9 +41,9 @@ import time
 from pathlib import Path
 from statistics import harmonic_mean, median
 
-from portwalk.adversary import build_cubic_instance
+from portwalk.adversary import build_cubic_instance, worst_case_path_labeling
 from portwalk.agents import CyclicAgent, RotorRouter, whiteboard_rotor_router
-from portwalk.graphs import deserialize, random_connected_graph, serialize
+from portwalk.graphs import build_path, deserialize, random_connected_graph, serialize
 from portwalk.simulate import _run, export_trace, run
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -49,6 +53,8 @@ STEPS = 1_000_000
 REPEATS = 3
 DOC_N = 2500
 DOCS = 50
+PATH_N = 500
+PATH_WALKS = 4
 MODES = {
     "counters_only_cycle": (RotorRouter(), False),
     "recorded_cycle": (RotorRouter(), True),
@@ -96,6 +102,10 @@ def main() -> None:
         for name, record in (("recorded", True), ("counters_only", False))}
     recorded = run(inst.graph, RotorRouter(), inst.start, ("steps", STEPS))
     out["export_rows_per_s"] = rates(lambda: export_trace(recorded), STEPS, "rows")
+    path = build_path(worst_case_path_labeling(RotorRouter(), PATH_N))
+    out["simulate_rows_per_s"] = rates(lambda: [
+        export_trace(run(path, RotorRouter(), PATH_N - 1, ("target", 0)))
+        for _ in range(PATH_WALKS)], PATH_WALKS * (PATH_N - 1) ** 2, "rows")
     doc = serialize(g)
     out["deserialize_docs_per_s"] = rates(
         lambda: [deserialize(doc) for _ in range(DOCS)], DOCS, "docs")
