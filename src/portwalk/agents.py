@@ -286,7 +286,7 @@ def whiteboard_rotor_router() -> WhiteboardAgent:
     return WhiteboardAgent(
         transition=lambda s, d: ((s + 1) % d, s % d + 1),
         initial_state=0,
-        memory_bits=lambda d: max((d - 1).bit_length(), 0),
+        memory_bits=lambda d: (d - 1).bit_length(),
     )
 
 

@@ -1,8 +1,11 @@
 """Load a module of the benchmark, bench/<name>.py, by its path.
 
-bench/ is not a package. Its oracles import nothing from portwalk, so the
-tests use bench/oracles.py as a referee that shares no code with what it
-checks.
+bench/ is not a package. bench/oracles.py imports only the standard
+library (tests/test_bench_surface.py checks that), so the tests use it as
+the one referee for periodic agents: run() and its recorded traces, the
+path enumeration and the diameter are checked against it, and a graph
+goes in as its serialized document. Agents that raise, which it cannot
+model, are checked against test_experiments.reference_enumeration.
 """
 
 import importlib.util

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bench_modules import load
 from portwalk.adversary import rare_port, worst_case_path_labeling
 from portwalk.agents import (
     CyclicAgent,
@@ -29,11 +30,12 @@ from portwalk.errors import (
     InvalidSizeError,
 )
 from portwalk.experiments import battery, brute_force_path_worst_case
-from portwalk.graphs import PathLabeling, build_path, random_connected_graph
-from portwalk.simulate import run
+from portwalk.graphs import PathLabeling, build_path, random_connected_graph, serialize
+from portwalk.simulate import export_trace, run
 
 
 ROTOR = RotorRouter()
+ORACLES = load("oracles")
 
 
 class TestRotorRouterPort:
@@ -257,8 +259,9 @@ class TestDerivePortFunction:
         assert wb.outport(3, 2) == ROTOR.outport(3, 2)
         assert wb.outport(6, 1) == 1
         g = random_connected_graph(30, 60, 4)
-        walk = run(g, whiteboard_rotor_router(), 0, "covered")
-        assert walk.moves == run(g, ROTOR, 0, "covered").moves
+        walk = export_trace(run(g, whiteboard_rotor_router(), 0, "covered"))
+        ports = ORACLES.parse_graph_doc(serialize(g))
+        assert ORACLES.trace_problems(walk, ports, "rotor-router", 0) == []
 
     @given(st.integers(2, 64), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)

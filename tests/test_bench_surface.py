@@ -1,15 +1,18 @@
 """The benchmark (bench/spans.py, bench/workloads.py) wraps portwalk
 functions by name, calls them with fixed argument shapes and reads fields
 of what they return; a rename or signature change that would break it
-fails here first."""
+fails here first. bench/oracles.py, the tests' referee, stays free of
+portwalk."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import sys
 
 import pytest
 
-from bench_modules import load
+from bench_modules import BENCH, load
 from portwalk.adversary import AdversarialInstance
 from portwalk.experiments import BruteForceResult, ExperimentReport
 from portwalk.graphs import PathLabeling
@@ -65,3 +68,27 @@ def test_result_fields_read_by_the_workloads():
     assert {"n", "max_steps", "unstopped", "labeling"} <= fields(BruteForceResult)
     assert "toward_far" in fields(PathLabeling)
     assert callable(ExperimentReport.to_csv)
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules the source imports, a relative import
+    as its leading dots, and "__import__" for a call of that builtin."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            out.add("." * node.level + (node.module or "").partition(".")[0])
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "__import__":
+            out.add("__import__")
+    return out
+
+
+def test_oracles_share_no_code_with_the_package():
+    # The tests check portwalk against bench/oracles.py, so it may import
+    # only the standard library, less importlib: nothing under src/, and no
+    # module (bench's own included) that could import from there.
+    package = {p.stem for p in (BENCH.parent / "src").iterdir()}
+    imported = imported_modules((BENCH / "oracles.py").read_text())
+    assert not imported & package
+    assert imported <= set(sys.stdlib_module_names) - {"importlib"}

@@ -1,6 +1,7 @@
 """Oracles, sweeps, and report plumbing."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -51,7 +52,7 @@ from portwalk.graphs import (
     diameter,
     random_connected_graph,
 )
-from portwalk.simulate import outports_taken, run
+from portwalk.simulate import run
 
 ROTOR = RotorRouter()
 ORACLES = load("oracles")
@@ -162,30 +163,9 @@ def script_tables():
 
 
 class TestBruteForceMatchesReference:
-    """The depth-first enumeration against one walk per labeling."""
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_battery(self, n):
-        for agent in battery().values():
-            assert brute_force_path_worst_case(agent, n) == reference_enumeration(agent, n)
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_caps_cut_walks(self, n):
-        # caps at and between the steps where walks first reach new nodes;
-        # at n = 2 the cap n-2 is 0, which both reject
-        for agent in battery().values():
-            for cap in (1, n - 2, n - 1, n, 3 * n):
-                assert (outcome(brute_force_path_worst_case, agent, n, cap)
-                        == outcome(reference_enumeration, agent, n, cap)), (agent.name, cap)
-
-    @pytest.mark.parametrize("agent", [
-        ScriptedPortFunction({2: [2, 1, 1, 2, 1, 2, 2]}, "cycle", name="cycle-2112122"),
-        ScriptedPortFunction({1: [1, 1], 2: [2, 2, 1]}, "cycle", name="cycle-221"),
-        whiteboard_rotor_router(),
-    ], ids=lambda a: a.name)
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_scripts_and_whiteboard(self, agent, n):
-        assert brute_force_path_worst_case(agent, n) == reference_enumeration(agent, n)
+    """The depth-first enumeration against one run() per labeling, for what
+    bench/oracles cannot model: agents that raise (fail scripts, whiteboard
+    agents over their budget) and bad caps."""
 
     @pytest.mark.parametrize("tables, n", [
         ({2: [1, 2, 2, 1, 2]}, 6),
@@ -197,8 +177,8 @@ class TestBruteForceMatchesReference:
     ])
     def test_fail_script_runs_out(self, tables, n):
         agent = ScriptedPortFunction(tables, "fail")
-        finished = reference_enumeration(ScriptedPortFunction(tables, "cycle"), n)
-        assert finished.max_steps is not None  # some labelings finish first
+        # some labelings finish first
+        assert ORACLES.path_worst_case(tables, n, 4 * n ** 3).max_steps is not None
         want = outcome(reference_enumeration, agent, n)
         assert want[0] is HorizonExceededError
         assert outcome(brute_force_path_worst_case, agent, n) == want
@@ -219,11 +199,10 @@ class TestBruteForceMatchesReference:
             assert isinstance(want, BruteForceResult)
         assert outcome(brute_force_path_worst_case, agent, n) == want
 
-    @given(script_tables(), st.sampled_from(["cycle", "fail"]), st.integers(2, 8),
-           st.one_of(st.none(), st.integers(1, 80)))
-    @settings(max_examples=120, deadline=None)
-    def test_random_scripts(self, tables, extension, n, cap):
-        agent = ScriptedPortFunction(tables, extension)
+    @given(script_tables(), st.integers(2, 8), st.one_of(st.none(), st.integers(1, 80)))
+    @settings(max_examples=60, deadline=None)
+    def test_random_scripts(self, tables, n, cap):
+        agent = ScriptedPortFunction(tables, "fail")
         assert (outcome(brute_force_path_worst_case, agent, n, cap)
                 == outcome(reference_enumeration, agent, n, cap))
 
@@ -235,20 +214,66 @@ class TestBruteForceMatchesReference:
                 == outcome(reference_enumeration, ROTOR, 5, cap))
 
 
+class AsIterator(PortFunction):
+    """The agent's cycles handed out as iterators at the given degrees, so
+    the brute force takes the row walk instead of the closed form."""
+
+    def __init__(self, agent, degrees):
+        self.agent, self.degrees, self.name = agent, degrees, agent.name
+
+    def ports(self, d):
+        got = self.agent.ports(d)
+        return itertools.cycle(got) if d in self.degrees else got
+
+
+def path_agents(n):
+    """(spec, agents): agents that all walk the path by the bench/oracles
+    spec. The battery, three fixed and six random degree-2 cycles (some
+    with a degree-1 table), each as its cycles and as iterators at degree
+    1, 2 or both, drawn, and the whiteboard rotor-router."""
+    rng = random.Random(n)
+    specs = [*ORACLES.BATTERY, {2: [2, 1, 1, 2, 1, 2, 2]}, {1: [1, 1], 2: [2, 2, 1]},
+             {2: [1, 2, 2, 1, 1]}]
+    for _ in range(6):
+        spec = {2: [rng.randint(1, 2) for _ in range(rng.randint(1, 9))]}
+        if rng.random() < 0.5:
+            spec[1] = [1] * rng.randint(1, 9)
+        specs.append(spec)
+    for spec in specs:
+        agent = battery()[spec] if isinstance(spec, str) else ScriptedPortFunction(spec)
+        agents = [agent, AsIterator(agent, rng.choice(((1,), (2,), (1, 2))))]
+        if spec == "rotor-router":
+            agents.append(whiteboard_rotor_router())
+        yield spec, agents
+
+
+def oracle_result(spec, n, cap=None):
+    """oracles.path_worst_case, under the brute force's default cap 4n^3."""
+    w = ORACLES.path_worst_case(spec, n, 4 * n ** 3 if cap is None else cap)
+    return BruteForceResult(n=n, max_steps=w.max_steps, unstopped=w.unstopped,
+                            labeling=None if w.labeling is None else PathLabeling(n, w.labeling))
+
+
 class TestBruteForceMatchesOracle:
     """The enumeration against oracles.path_worst_case, which walks every
     labeling on paths and with a walker of its own, sharing no code with
-    portwalk."""
+    portwalk. Both kernels take each agent: the closed form its cycles and
+    the row walk its iterators. Uncapped, and at caps 1 (the first step
+    only), n - 2 to n (around the shortest walk to v_1), 3n, and at and
+    just below the exact worst case; at n = 2 the cap n - 2 is 0, which
+    TestBruteForceMatchesReference.test_bad_cap rejects."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_battery(self, n):
-        for name, agent in battery().items():
-            got = brute_force_path_worst_case(agent, n)
-            want = ORACLES.path_worst_case(name, n, cap=4 * n ** 3)
-            assert got.max_steps == want.max_steps, name
-            assert got.unstopped == want.unstopped, name
-            assert got.labeling == (None if want.labeling is None
-                                    else PathLabeling(n, want.labeling)), name
+        for spec, agents in path_agents(n):
+            uncapped = oracle_result(spec, n)
+            worst = uncapped.max_steps
+            caps = [None, 1, n - 2, n - 1, n, 3 * n, *(() if worst is None else (worst, worst - 1))]
+            for cap in dict.fromkeys(c for c in caps if c is None or c >= 1):
+                # no walk arrives after the worst case and by the default cap
+                want = uncapped if cap in (None, worst) else oracle_result(spec, n, cap)
+                for agent in agents:
+                    assert brute_force_path_worst_case(agent, n, cap) == want, (spec, cap)
 
 
 class TestPathFromEveryStart:
@@ -287,21 +312,22 @@ class Counting(PortFunction):
 class TestBruteForceReadsPortsOnce:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_outport_asked_once_per_index(self, n):
-        for agent in [*battery().values(), whiteboard_rotor_router()]:
+        cap = 4 * n ** 3
+        for spec, agent in [*battery().items(), ("rotor-router", whiteboard_rotor_router())]:
             counting = Counting(agent)
-            assert (brute_force_path_worst_case(counting, n)
-                    == reference_enumeration(agent, n))
+            assert brute_force_path_worst_case(counting, n) == oracle_result(spec, n)
             # degree d is asked exactly 1..k, k the most exits of one node of
-            # degree d in any labeling's walk
+            # degree d in any labeling's walk: its occupancies before the walk
+            # arrives at v_1, or before the cap
             most = {1: 0, 2: 0}
             for bits in itertools.product((1, 2), repeat=n - 2):
-                g = build_path(PathLabeling(n, bits))
-                t = run(g, agent, n - 1, ("target", 0))
-                for v in range(n):
-                    d = g.degree(v)
-                    most[d] = max(most[d], len(outports_taken(t, v)))
+                ports = ORACLES.path_ports(n, bits)
+                steps = ORACLES.walk(ports, n - 1, spec, cap, target=0).reached or cap
+                for v in range(1, n):
+                    w = ORACLES.walk(ports, n - 1, spec, steps, watch=v, horizon=steps)
+                    most[len(ports[v])] = max(most[len(ports[v])], w.watch_visits)
             want = [(d, i) for d in (1, 2) for i in range(1, most[d] + 1)]
-            assert sorted(counting.calls) == want, agent.name
+            assert sorted(counting.calls) == want, spec
 
     @pytest.mark.parametrize("lazy, bad", [(1, 2), (2, 1)])
     def test_bad_cycle_beside_none_rejected(self, lazy, bad):
@@ -314,53 +340,8 @@ class TestBruteForceReadsPortsOnce:
         assert agent.calls == []
 
 
-class AsIterator(PortFunction):
-    """The agent's cycles handed out as iterators, so the brute force takes
-    the row walk instead of the closed form."""
-
-    def __init__(self, agent, degrees=(1, 2)):
-        self.agent, self.degrees, self.name = agent, degrees, agent.name
-
-    def ports(self, d):
-        got = self.agent.ports(d)
-        return itertools.cycle(got) if d in self.degrees else got
-
-
 class TestKernelsAgree:
-    """The closed form (every port sequence a cycle) against the row walk on
-    the same tables, uncapped and at caps 1 (the first step only), n - 1
-    (the shortest walk to v_1) and at and just below the exact worst case."""
-
-    @staticmethod
-    def caps(agent, n):
-        worst = brute_force_path_worst_case(agent, n).max_steps
-        extra = () if worst is None else (worst, worst - 1)
-        return [None, 1, n - 1, *(c for c in extra if c >= 1)]
-
-    def check(self, agent, n, walked):
-        for cap in self.caps(agent, n):
-            assert (outcome(brute_force_path_worst_case, agent, n, cap)
-                    == outcome(brute_force_path_worst_case, walked, n, cap)), (agent.name, cap)
-
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_battery(self, n):
-        for agent in battery().values():
-            self.check(agent, n, AsIterator(agent))
-
-    @pytest.mark.parametrize("degrees", [(1,), (2,)])
-    def test_mixed_agents(self, degrees):
-        # one degree an iterator, the other a cycle: the row walk repeats the cycle
-        agent = ScriptedPortFunction({2: [1, 2, 2, 1, 1]}, "cycle")
-        for n in range(2, 9):
-            mixed = AsIterator(agent, degrees)
-            assert brute_force_path_worst_case(agent, n) == reference_enumeration(mixed, n)
-            self.check(agent, n, mixed)
-
-    @given(script_tables(), st.integers(2, 10))
-    @settings(max_examples=80, deadline=None)
-    def test_random_cycles(self, tables, n):
-        agent = ScriptedPortFunction(tables, "cycle")
-        self.check(agent, n, AsIterator(agent))
+    """The closed form's exit arithmetic against a scan of the exits."""
 
     @pytest.mark.parametrize("period", range(1, 6))
     def test_exits_to_inward_matches_scan(self, period):

@@ -511,8 +511,8 @@ class TestBfs:
 
     def test_diameter_matches_bfs_from_every_node(self):
         for g in diameter_cases():
-            ecc = max(max(bfs_distances(g, v)) for v in range(g.n))
-            assert diameter(g) == ecc == ORACLES.diameter(g.port_map), (g.n, g.m)
+            ports = ORACLES.parse_graph_doc(serialize(g))
+            assert diameter(g) == ORACLES.diameter(ports), (g.n, g.m)
 
     def test_diameter_one_node(self):
         assert diameter(PortLabeledGraph(1, ((),))) == 0

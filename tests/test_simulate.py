@@ -280,61 +280,76 @@ class TestFirstVisitDetection:
         assert type(e.value) is AgentViolationError
 
 
-class TestEngineMatchesOracle:
-    """run() against bench/oracles.walk, a walker that shares no code with it."""
+graph_params = st.tuples(
+    st.integers(2, 18), st.integers(0, 10 ** 6)
+).flatmap(lambda t: st.tuples(
+    st.just(t[0]),
+    st.integers(t[0] - 1, t[0] * (t[0] - 1) // 2),
+    st.just(t[1]),
+))
 
-    @given(
-        st.tuples(st.integers(2, 9), st.integers(0, 10 ** 6)).flatmap(lambda t: st.tuples(
-            st.just(t[0]), st.integers(t[0] - 1, t[0] * (t[0] - 1) // 2), st.just(t[1]))),
-        st.data(),
+
+class CallBased(PortFunction):
+    """Yields the agent's outport(d, 1), outport(d, 2), ... as an iterator, so
+    run() reads it through a lazy port sequence."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.name = agent.name
+
+    def ports(self, d):
+        return map(self.ask, itertools.repeat(d), itertools.count(1))
+
+    def ask(self, d, i):
+        return self.agent.outport(d, i)
+
+
+def periodic_agents(degrees):
+    """(spec, agent): an agent with a period at each of the degrees, and its
+    bench/oracles spec. The battery, random cycle tables and folded
+    patterns, each as its cycle or as an iterator (CallBased), and the
+    whiteboard rotor-router."""
+    tables = {d: st.lists(st.integers(1, d), min_size=1, max_size=6) for d in degrees}
+    cycles = st.one_of(
+        st.sampled_from(ORACLES.BATTERY).map(lambda s: (s, battery()[s])),
+        st.fixed_dictionaries(tables).map(lambda t: (t, ScriptedPortFunction(t))),
+        st.lists(st.integers(1, 20), min_size=1, max_size=6).map(lambda p: (
+            {d: [(e - 1) % d + 1 for e in p] for d in degrees}, CyclicAgent(p))),
     )
-    @settings(max_examples=60, deadline=None)
+    return st.one_of(cycles, cycles.map(lambda sa: (sa[0], CallBased(sa[1]))),
+                     st.just(("rotor-router", whiteboard_rotor_router())))
+
+
+class TestEngineMatchesOracle:
+    """run() against bench/oracles, which shares no code with it."""
+
+    @given(graph_params, st.data())
+    @settings(max_examples=200, deadline=None)
     def test_walk(self, params, data):
         n, m, seed = params
         g = random_connected_graph(n, m, seed)
-        ports = [list(row) for row in g.port_map]
-        tables = {d: st.lists(st.integers(1, d), min_size=1, max_size=5)
-                  for d in {len(row) for row in ports} - {1}}
-        spec = data.draw(st.one_of(st.sampled_from(ORACLES.BATTERY),
-                                   st.fixed_dictionaries(tables)))
-        agent = battery()[spec] if isinstance(spec, str) else ScriptedPortFunction(spec)
-        start = data.draw(st.integers(0, n - 1))
+        spec, agent = data.draw(periodic_agents({len(row) for row in g.port_map}))
         stop = data.draw(st.one_of(
             st.just("covered"),
             st.tuples(st.just("target"), st.integers(0, n - 1)),
-            st.tuples(st.just("steps"), st.integers(0, 300)),
+            st.tuples(st.just("steps"), st.integers(0, 3000)),
         ))
-        cap = data.draw(st.integers(1, 300))
-        t = run(g, agent, start, stop, cap=cap, record_moves=data.draw(st.booleans()))
-
-        if stop == "covered" or stop[0] == "target":
-            target = None if stop == "covered" else stop[1]
-            w = ORACLES.walk(ports, start, spec, cap, target=target)
-            assert t.stopped == (w.reached is not None)
-            assert t.steps == (cap if w.reached is None else w.reached)
-        else:
-            assert t.steps == min(stop[1], cap)
-            assert t.stopped == (stop[1] <= cap)
-        # Within the steps run() took: coverage, first visits, occupancies.
-        assert t.covered_at == ORACLES.walk(ports, start, spec, t.steps).reached
-        for v in range(n):
-            w = ORACLES.walk(ports, start, spec, t.steps, target=v, watch=v, horizon=t.steps)
-            assert t.first_visit[v] == w.reached
-            assert t.visit_counts[v] == w.watch_visits + (v == t.final)
+        assert_matches_oracle(g, spec, agent, data.draw(st.integers(0, n - 1)), stop,
+                              data.draw(st.one_of(st.none(), st.integers(1, 3000))),
+                              data.draw(st.booleans()))
 
     @pytest.mark.parametrize("d", range(2, 65))
     def test_one_entry_table_at_every_degree(self, d):
         # A one-entry cycle goes through the picker's one-index case.
-        g, ports = pendant_clique(d, d)
         p = d // 2 + 1
-        assert_matches_oracle(g, ports, {d: [p]}, ScriptedPortFunction({d: [p]}),
+        assert_matches_oracle(pendant_clique(d, d), {d: [p]}, ScriptedPortFunction({d: [p]}),
                               d % 3, "covered", 3 * d, d % 2 == 0)
 
     @given(st.integers(2, 64), st.integers(0, 10 ** 6), st.data())
     @settings(max_examples=40, deadline=None)
     def test_high_degrees(self, d, seed, data):
-        # The generator above stops at n <= 9; scripted tables reach d = 64.
-        g, ports = pendant_clique(d, seed)
+        # The generator above stops at n <= 18; scripted tables reach d = 64.
+        g = pendant_clique(d, seed)
         spec = data.draw(st.one_of(
             st.sampled_from(ORACLES.BATTERY),
             st.fixed_dictionaries({d: st.lists(st.integers(1, d), min_size=1, max_size=2 * d)})))
@@ -344,12 +359,12 @@ class TestEngineMatchesOracle:
             st.tuples(st.just("target"), st.integers(0, g.n - 1)),
             st.tuples(st.just("steps"), st.integers(0, 400)),
         ))
-        assert_matches_oracle(g, ports, spec, agent, data.draw(st.integers(0, g.n - 1)),
+        assert_matches_oracle(g, spec, agent, data.draw(st.integers(0, g.n - 1)),
                               stop, data.draw(st.integers(1, 400)), data.draw(st.booleans()))
 
 
 class TestRefills:
-    """Walks long enough that nodes spend many blocks, against bench/oracles.walk."""
+    """Walks long enough that nodes spend many blocks, against bench/oracles."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("period", [1, 2, 3, 7, _BLOCK + 45, "whiteboard"])
@@ -359,14 +374,13 @@ class TestRefills:
         rng = random.Random(seed)
         n = rng.randint(2, 6)
         g = random_connected_graph(n, rng.randint(n - 1, n * (n - 1) // 2), seed)
-        ports = [list(row) for row in g.port_map]
         if period == "whiteboard":
             spec, agent = "rotor-router", whiteboard_rotor_router()
         else:
             spec = {d: [rng.randint(1, d) for _ in range(period)]
-                    for d in {len(row) for row in ports} - {1}}
+                    for d in {len(row) for row in g.port_map} - {1}}
             agent = ScriptedPortFunction(spec, "cycle")
-        t = assert_matches_oracle(g, ports, spec, agent, rng.randrange(n),
+        t = assert_matches_oracle(g, spec, agent, rng.randrange(n),
                                   ("steps", rng.randint(4000, 5000)), 5000, seed % 2 == 0)
         assert max(t.visit_counts) > 2 * _BLOCK
 
@@ -401,25 +415,38 @@ def refill_boundaries(p, limit):
 
 def pendant_clique(d, seed):
     """A d-clique with a pendant at every clique node, each row's ports
-    shuffled: 2d nodes of degrees d and 1. Returns it and its port lists."""
+    shuffled: 2d nodes of degrees d and 1."""
     rng = random.Random(seed)
     g = build_clique_pendant(d, rng.randint(1, d))
-    ports = [rng.sample(row, len(row)) for row in g.port_map]
-    return PortLabeledGraph(g.n, tuple(map(tuple, ports))), ports
+    return PortLabeledGraph(g.n, tuple(tuple(rng.sample(row, len(row))) for row in g.port_map))
 
 
-def assert_matches_oracle(g, ports, spec, agent, start, stop, cap, record):
-    """run() against oracles.walk: steps, stop, coverage, first visits and
-    occupancies of every node."""
+def assert_matches_oracle(g, spec, agent, start, stop, cap, record):
+    """run() against bench/oracles, given g as its document: steps and stop
+    by oracles.walk; the moves, coverage, first visits and occupancies of
+    every node by oracles.trace_problems on a recorded walk's export, or
+    by one oracles.walk per node on a counters-only one."""
+    ports = ORACLES.parse_graph_doc(serialize(g))
     t = run(g, agent, start, stop, cap=cap, record_moves=record)
+    if cap is None:
+        cap = 4 * g.n ** 3
     if stop == "covered" or stop[0] == "target":
         w = ORACLES.walk(ports, start, spec, cap, target=None if stop == "covered" else stop[1])
         assert (t.steps, t.stopped) == ((cap, False) if w.reached is None else (w.reached, True))
     else:
         assert (t.steps, t.stopped) == (min(stop[1], cap), stop[1] <= cap)
+    if record:
+        # The checker asks that a trace end at coverage, which a walk
+        # stopped otherwise need not.
+        off_cover = [] if t.covered_at == t.steps else [
+            f"{t.steps} rows but coverage at step {t.covered_at}"]
+        assert ORACLES.trace_problems(export_trace(t), ports, spec, start, t.steps) == off_cover
+        return t
     assert t.covered_at == ORACLES.walk(ports, start, spec, t.steps).reached
     for v in range(g.n):
-        w = ORACLES.walk(ports, start, spec, t.steps, target=v, watch=v, horizon=t.steps)
+        w = ORACLES.walk(ports, start, spec, t.steps, target=v)
+        if w.reached is not None:  # count v's occupancies over the whole walk
+            w = ORACLES.walk(ports, start, spec, t.steps, target=v, watch=v, horizon=t.steps)
         assert (t.first_visit[v], t.visit_counts[v]) == (w.reached, w.watch_visits + (v == t.final))
     return t
 
@@ -484,19 +511,18 @@ class TestVisitCountUpto:
             visit_count_upto(t, 0, 10 ** 9)
 
     def test_counters_only_full_window(self):
-        # both trace kinds answer a full window with the departures that
-        # the recorded moves show
+        # both trace kinds answer a full window with the node's departures,
+        # its occupancies before the last step
         for seed in range(11, 16):
             g = random_connected_graph(9, 13, seed=seed)
-            for agent in battery().values():
-                for stop in (("steps", 60), "covered"):
-                    full = run(g, agent, 0, stop, cap=500)
-                    lean = run(g, agent, 0, stop, cap=500, record_moves=False)
-                    assert lean.moves is None
-                    for v in range(g.n):
-                        departures = sum(1 for node, _ in full.moves if node == v)
-                        assert visit_count_upto(lean, v, lean.steps) == departures
-                        assert visit_count_upto(full, v, full.steps) == departures
+            ports = ORACLES.parse_graph_doc(serialize(g))
+            for (spec, agent), stop, record in itertools.product(
+                    battery().items(), (("steps", 60), "covered"), (True, False)):
+                t = run(g, agent, 0, stop, cap=500, record_moves=record)
+                assert (t.moves is None) != record
+                for v in range(g.n):
+                    w = ORACLES.walk(ports, 0, spec, t.steps, watch=v, horizon=t.steps)
+                    assert visit_count_upto(t, v, t.steps) == w.watch_visits
 
     @pytest.mark.parametrize("limit", [True, 2.5, "3", None])
     def test_non_integer_limit_rejected(self, limit):
@@ -559,15 +585,6 @@ class TestReaderNodes:
             arc_traversals(path4_trace(record), u, v)
 
 
-graph_params = st.tuples(
-    st.integers(2, 18), st.integers(0, 10 ** 6)
-).flatmap(lambda t: st.tuples(
-    st.just(t[0]),
-    st.integers(t[0] - 1, t[0] * (t[0] - 1) // 2),
-    st.just(t[1]),
-))
-
-
 class TestTraceInvariants:
     @given(graph_params, st.sampled_from(range(len(BATTERY))))
     @settings(max_examples=60, deadline=None)
@@ -623,62 +640,7 @@ class TestTraceInvariants:
                 assert sorted(window) == list(range(1, deg + 1))
 
 
-class CallBased(PortFunction):
-    """Yields the agent's outport(d, 1), outport(d, 2), ... as an iterator, so
-    run() reads it through a lazy port sequence."""
-
-    def __init__(self, agent):
-        self.agent = agent
-        self.name = agent.name
-
-    def ports(self, d):
-        return map(self.ask, itertools.repeat(d), itertools.count(1))
-
-    def ask(self, d, i):
-        return self.agent.outport(d, i)
-
-
-def outcome(g, agent, start, stop, cap, record_moves):
-    try:
-        t = run(g, agent, start, stop, cap=cap, record_moves=record_moves)
-    except Exception as e:
-        return type(e), str(e)
-    return (t.steps, t.final, t.moves, t.first_visit, t.visit_counts,
-            t.covered_at, t.stopped)
-
-
-def scripts():
-    """Cycle scripts with a table at some of the degrees 1..8."""
-    tables = {d: st.lists(st.integers(1, d), min_size=1, max_size=6) for d in range(1, 9)}
-    return st.fixed_dictionaries({}, optional=tables).map(
-        lambda t: ScriptedPortFunction(t, "cycle"))
-
-
 class TestCompiledLoop:
-    @given(
-        graph_params,
-        st.one_of(
-            st.sampled_from(BATTERY),
-            st.lists(st.integers(1, 20), min_size=1, max_size=6).map(CyclicAgent),
-            scripts(),
-        ),
-        st.data(),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_matches_call_based_loop(self, params, agent, data):
-        n, m, seed = params
-        g = random_connected_graph(n, m, seed)
-        start = data.draw(st.integers(0, n - 1))
-        stop = data.draw(st.one_of(
-            st.just("covered"),
-            st.tuples(st.just("target"), st.integers(0, n - 1)),
-            st.tuples(st.just("steps"), st.integers(0, 3000)),
-        ))
-        cap = data.draw(st.one_of(st.none(), st.integers(1, 3000)))
-        record = data.draw(st.booleans())
-        assert (outcome(g, agent, start, stop, cap, record)
-                == outcome(g, CallBased(agent), start, stop, cap, record))
-
     def test_short_walk_builds_only_visited_rows(self):
         # Rows for all 2,000 nodes of a 5,000-entry cycle would hold 10^7
         # successor entries (about 80 MB) for a 10-step walk.
@@ -691,9 +653,8 @@ class TestCompiledLoop:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20
-        assert (outcome(g, agent, 1999, ("steps", 10), None, True)
-                == outcome(g, CallBased(agent), 1999, ("steps", 10), None, True))
         assert t.steps == 10
+        assert_matches_oracle(g, agent.tables, agent, 1999, ("steps", 10), None, True)
 
     def test_recorded_walk_shares_one_tuple_per_arc(self):
         # The rotor-router's worst 500-node path takes (n-1)^2 = 249,001
@@ -945,22 +906,13 @@ class TestExport:
     def test_matches_row_reference_and_oracle(self, n, data):
         m = data.draw(st.integers(n - 1, min(3 * n, n * (n - 1) // 2)))
         g = random_connected_graph(n, m, data.draw(st.integers(0, 2 ** 16)))
-        agent = data.draw(st.sampled_from(BATTERY + [whiteboard_rotor_router()]))
-        start = data.draw(st.integers(0, n - 1))
-        steps = data.draw(st.one_of(
+        spec, agent = data.draw(periodic_agents({len(row) for row in g.port_map}))
+        stop = data.draw(st.one_of(st.just("covered"), st.tuples(st.just("steps"), st.one_of(
             st.integers(0, 3 * _CHUNK + 1),
-            st.sampled_from([k * _CHUNK + e for k in (1, 2, 3) for e in (-1, 0, 1)])))
-        t = run(g, agent, start, ("steps", steps), cap=3 * _CHUNK + 1)
-        assert t.steps == steps
-        text = export_trace(t)
-        assert text == one_row_at_a_time(t)
-        # The oracle checks every row and the summary; it asks only that a
-        # trace end at coverage, which a fixed step count need not.
-        rule = agent.name if isinstance(agent, CyclicAgent) else "rotor-router"
-        ports = ORACLES.parse_graph_doc(serialize(g))
-        off_cover = [] if t.covered_at == steps else [
-            f"{steps} rows but coverage at step {t.covered_at}"]
-        assert ORACLES.trace_problems(text, ports, rule, start) == off_cover
+            st.sampled_from([k * _CHUNK + e for k in (1, 2, 3) for e in (-1, 0, 1)])))))
+        t = assert_matches_oracle(g, spec, agent, data.draw(st.integers(0, n - 1)), stop,
+                                  3 * _CHUNK + 1, True)
+        assert export_trace(t) == one_row_at_a_time(t)
 
     def test_counters_only_rejected(self):
         t = run(path3(), ROTOR, 2, ("steps", 5), record_moves=False)
