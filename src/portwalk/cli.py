@@ -91,31 +91,22 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_adversary_path(args) -> int:
+def cmd_check(args) -> int:
+    """adversary-path, adversary-cubic or bruteforce-path: one agent at one n."""
     agent = resolve_agent(args.agent)
-    r = verify_path_bound(agent, args.n, cap=args.cap)
-    report = ExperimentReport("adversary-path", {"agent": agent.name, "n": args.n},
-                              path_bound_rows(r))
-    return write_report(report, args)
-
-
-def cmd_adversary_cubic(args) -> int:
-    agent = resolve_agent(args.agent)
-    r = verify_cubic_bound(agent, args.n, cap=args.cap, start=args.start)
-    if args.save_instance:
-        graph_text, sidecar = export_instance(r.instance)
-        Path(args.save_instance + ".graph.json").write_text(graph_text)
-        Path(args.save_instance + ".instance.json").write_text(sidecar)
-    report = ExperimentReport("adversary-cubic", {"agent": agent.name, "n": args.n},
-                              cubic_bound_rows(r))
-    return write_report(report, args)
-
-
-def cmd_bruteforce_path(args) -> int:
-    agent = resolve_agent(args.agent)
-    r = brute_force_path_worst_case(agent, args.n, cap=args.cap)
-    report = ExperimentReport("bruteforce-path", {"agent": agent.name, "n": args.n},
-                              brute_force_rows(agent.name, r))
+    if args.command == "adversary-path":
+        rows = path_bound_rows(verify_path_bound(agent, args.n, cap=args.cap))
+    elif args.command == "adversary-cubic":
+        r = verify_cubic_bound(agent, args.n, cap=args.cap, start=args.start)
+        if args.save_instance:
+            graph_text, sidecar = export_instance(r.instance)
+            Path(args.save_instance + ".graph.json").write_text(graph_text)
+            Path(args.save_instance + ".instance.json").write_text(sidecar)
+        rows = cubic_bound_rows(r)
+    else:
+        r = brute_force_path_worst_case(agent, args.n, cap=args.cap)
+        rows = brute_force_rows(agent.name, r)
+    report = ExperimentReport(args.command, {"agent": agent.name, "n": args.n}, rows)
     return write_report(report, args)
 
 
@@ -139,10 +130,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "check worst-case exploration bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_report_flags(p):
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
+    # Flags of every report command, and of the three checks of one agent at one n.
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--cap", type=int, default=None)
+    report.add_argument("--out", help="write output to this file instead of stdout")
+    report.add_argument("--format", choices=("csv", "json"), default="csv")
+    check = argparse.ArgumentParser(add_help=False)
+    check.add_argument("--agent", required=True, help="builtin name or script file")
+    check.add_argument("--n", type=int, required=True)
+    check.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", help="run one agent on one graph, emit the trace")
     p.add_argument("--graph", required=True, help="graph document file")
@@ -154,44 +150,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("adversary-path",
-                       help="build the worst-case path for an agent and "
-                            "check the quadratic bound")
-    p.add_argument("--agent", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    add_report_flags(p)
-    p.set_defaults(func=cmd_adversary_path)
-
-    p = sub.add_parser("adversary-cubic",
+    sub.add_parser("adversary-path", parents=[check, report],
+                   help="build the worst-case path for an agent and "
+                        "check the quadratic bound")
+    p = sub.add_parser("adversary-cubic", parents=[check, report],
                        help="build the clique-path instance for an agent and "
                             "check the cubic cover bound")
-    p.add_argument("--agent", required=True)
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--start", type=int, default=0,
                    help="clique node the walk starts from")
-    p.add_argument("--cap", type=int, default=None)
     p.add_argument("--save-instance", metavar="PREFIX",
                    help="also write PREFIX.graph.json and PREFIX.instance.json")
-    add_report_flags(p)
-    p.set_defaults(func=cmd_adversary_cubic)
+    sub.add_parser("bruteforce-path", parents=[check, report],
+                   help="enumerate all path labelings for an agent (n <= 14)")
 
-    p = sub.add_parser("bruteforce-path",
-                       help="enumerate all path labelings for an agent (n <= 14)")
-    p.add_argument("--agent", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    add_report_flags(p)
-    p.set_defaults(func=cmd_bruteforce_path)
-
-    p = sub.add_parser("rotor-upper",
+    p = sub.add_parser("rotor-upper", parents=[report],
                        help="check rotor-router cover time <= factor*m*D on "
                             "random graphs")
     p.add_argument("--case", action="append", default=[],
                    metavar="N,M,SEED", help="repeatable")
     p.add_argument("--factor", type=float, default=2.0)
-    p.add_argument("--cap", type=int, default=None)
-    add_report_flags(p)
     p.set_defaults(func=cmd_rotor_upper)
 
     return parser

@@ -283,6 +283,14 @@ class TestVerifyCubicBound:
         assert r.verdict == "pass"
         assert r.cover >= 900
 
+    def test_rotor_cover_on_its_own_instance(self):
+        # Observed, not proved: the rotor-router covers its own n = 3d
+        # instance at step d^3 + d^2 + 3d - 1, the bound d^2 (d - 1) plus
+        # 2d^2 + 3d - 1, so the bound is tight up to 1 + O(1/d).
+        # test_matches_oracle referees the smallest n.
+        for d in range(2, 51):
+            assert verify_cubic_bound(ROTOR, 3 * d).cover == d ** 3 + d ** 2 + 3 * d - 1, d
+
     def test_always_one_never_covers(self):
         r = verify_cubic_bound(ALWAYS_1, 18, cap=10_000)
         assert r.verdict == "pass-vacuous"
@@ -307,7 +315,7 @@ class TestVerifyCubicBound:
         assert r.v_star_visits > r.v_star_budget
         assert r.verdict == "fail" and not r.passed
 
-    @pytest.mark.parametrize("n", [18, 21, 24])
+    @pytest.mark.parametrize("n", [6, 9, 12, 15, 18, 21, 24])
     @pytest.mark.parametrize("agent", BATTERY, ids=lambda a: a.name)
     def test_matches_oracle(self, agent, n):
         # The cap below the bound keeps counting v* over all bound steps,

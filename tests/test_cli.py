@@ -318,10 +318,72 @@ class TestUsageErrors:
         assert exc.value.code == 2
 
 
-def test_readme_commands_parse():
+# Each subcommand's minimal argv and every destination's default; then a
+# value for each flag any subcommand has.
+SURFACE = {
+    "simulate": (["--graph", "g.json", "--agent", "a"], {
+        "graph": "g.json", "agent": "a", "start": 0, "stop": "covered",
+        "cap": None, "out": None}),
+    "adversary-path": (["--agent", "a", "--n", "5"], {
+        "agent": "a", "n": 5, "cap": None, "out": None, "format": "csv"}),
+    "adversary-cubic": (["--agent", "a", "--n", "18"], {
+        "agent": "a", "n": 18, "start": 0, "cap": None, "save_instance": None,
+        "out": None, "format": "csv"}),
+    "bruteforce-path": (["--agent", "a", "--n", "5"], {
+        "agent": "a", "n": 5, "cap": None, "out": None, "format": "csv"}),
+    "rotor-upper": ([], {
+        "case": [], "factor": 2.0, "cap": None, "out": None, "format": "csv"}),
+}
+# Each flag any subcommand has: a value to give it, and what it parses to.
+FLAG_VALUES = {"--graph": ("g.json", "g.json"), "--agent": ("a", "a"), "--start": ("1", 1),
+               "--stop": ("steps:3", "steps:3"), "--cap": ("7", 7), "--out": ("o.csv", "o.csv"),
+               "--n": ("6", 6), "--format": ("json", "json"),
+               "--save-instance": ("inst", "inst"), "--case": ("2,1,0", ["2,1,0"]),
+               "--factor": ("3", 3.0)}
+
+
+def dest(flag):
+    return flag[2:].replace("-", "_")
+
+
+class TestSurface:
+    """Every subcommand's destinations and defaults, and no flag it lacks."""
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_destinations_and_defaults(self, command):
+        argv, defaults = SURFACE[command]
+        args = vars(build_parser().parse_args([command, *argv]))
+        assert callable(args.pop("func"))
+        assert args == {"command": command, **defaults}
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_every_flag_given(self, command):
+        own = [flag for flag in FLAG_VALUES if dest(flag) in SURFACE[command][1]]
+        args = vars(build_parser().parse_args(
+            [command, *(t for flag in own for t in (flag, FLAG_VALUES[flag][0]))]))
+        args.pop("func")
+        assert args == {"command": command, **{dest(f): FLAG_VALUES[f][1] for f in own}}
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag) for command in sorted(SURFACE) for flag in FLAG_VALUES
+        if dest(flag) not in SURFACE[command][1]])
+    def test_foreign_flag_exits_two(self, command, flag, capsys):
+        argv = [command, *SURFACE[command][0], flag, FLAG_VALUES[flag][0]]
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
+def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
+    # The block runs top to bottom in an empty directory: later lines read
+    # the files earlier ones write.
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
     commands = [shlex.split(line) for line in block.splitlines()]
     assert commands and all(argv[0] == "portwalk" for argv in commands)
     for argv in commands:
         build_parser().parse_args(argv[1:])
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)

@@ -513,6 +513,8 @@ class TestBfs:
         for g in diameter_cases():
             ports = ORACLES.parse_graph_doc(serialize(g))
             assert diameter(g) == ORACLES.diameter(ports), (g.n, g.m)
+            for s in range(g.n):
+                assert bfs_distances(g, s) == ORACLES.bfs(ports, s), (g.n, g.m, s)
 
     def test_diameter_one_node(self):
         assert diameter(PortLabeledGraph(1, ((),))) == 0
@@ -522,8 +524,12 @@ class TestBfs:
         ((), (2,), (1,)),          # an isolated node beside an edge
     ])
     def test_diameter_disconnected(self, rows):
+        g = PortLabeledGraph(len(rows), rows)
         with pytest.raises(InvalidVertexError, match="^graph is disconnected$"):
-            diameter(PortLabeledGraph(len(rows), rows))
+            diameter(g)
+        for s in range(g.n):  # unreachable nodes read None
+            dist = bfs_distances(g, s)
+            assert None in dist and dist == ORACLES.bfs([list(row) for row in rows], s)
 
 
 class TestSerialization:
