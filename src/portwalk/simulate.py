@@ -23,9 +23,12 @@ step), so a short walk on a large graph builds only what it uses. It
 yields the nodes behind port_d(1), port_d(2), ... and nothing else: for
 a cycle it runs over a tuple block of the picked successors, whole
 periods of them, so a step is one next() on a tuple iterator and makes
-no call into the agent. A spent block and an unvisited node (all share
-one empty iterator) both raise StopIteration, and one handler refills
-the block, doubled up to _BLOCK entries, or takes the first visit. A
+no call into the agent. The moves are counted down by an
+itertools.repeat, so a step makes no int either; the step number is
+read from its length_hint only at a first visit. A spent block and an
+unvisited node (all share one empty iterator) both raise StopIteration,
+and one handler refills the block, doubled up to _BLOCK entries, or
+takes the first visit; the move that raised is made after the handler. A
 node's departures are the entries handed to it less its iterator's
 length_hint, read once after the walk. A recorded walk's blocks hold
 (template, w) pairs, template the arc's trace row "%d,v,p,w" waiting for
@@ -43,8 +46,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count
+from itertools import count, repeat
 from operator import itemgetter, length_hint, sub
+from sys import maxsize
 from typing import Iterator
 
 from .agents import PortFunction, port_sequence
@@ -201,8 +205,10 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
 
     # The walk stops at its first arrival at target, or at the first visit
     # that leaves stop_unvisited nodes unvisited, or after budget moves
-    # (-1 stands for none of them).
-    target, stop_unvisited, budget, limit = -1, -1, -1, cap
+    # (-1 stands for none of them), and by limit moves in any case. No walk
+    # makes sys.maxsize moves, the most a C-level countdown holds, so a
+    # larger cap is clamped to it.
+    target, stop_unvisited, budget, limit = -1, -1, -1, min(cap, maxsize)
     if stop == "covered":
         stop_unvisited = 0
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "target":
@@ -210,7 +216,7 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
         target = whole(stop[1], "target node", InvalidVertexError, 0, n - 1)
     elif isinstance(stop, tuple) and len(stop) == 2 and stop[0] == "steps":
         budget = whole(stop[1], "step budget", InvalidLimitError, 0)
-        limit = min(cap, budget)
+        limit = min(limit, budget)
     else:
         raise ValueError(f"unrecognized stop condition {stop!r}")
 
@@ -232,15 +238,21 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
     if cur == target or unvisited == stop_unvisited:
         limit = steps
 
-    # Each move is one next() on cur's iterator; steps counts the moves
-    # made. Every StopIteration comes from a move not made, and the loop
-    # resumes at it. A node with no iterator yet holds _UNVISITED, and the
-    # handler takes its first visit, if it is one, and builds its
-    # iterator. Any other node has spent its block: it gets the same block
-    # again, doubled while that keeps it within _BLOCK entries, a whole
-    # number of periods, so no rotation is needed. An arrival on the last
-    # move has no departure to raise, so its first visit is checked after
-    # the loop. A one-entry cycle's itemgetter takes it twice: a tuple.
+    # Each move is one next() on cur's iterator, counted down by left, a
+    # C-level repeat of the moves not yet made, so no step makes an int.
+    # Every StopIteration comes from a move whose count left has already
+    # taken. The handler gives cur an iterator, and that move is made after
+    # it, outside the handler, so left is never rebuilt and an agent's
+    # error carries no StopIteration context. A node with no iterator yet
+    # holds _UNVISITED: the handler takes its first visit, if it is one, at
+    # step limit - length_hint(left) - 1, and builds its iterator. Any
+    # other node has spent its block: it gets the same block again,
+    # doubled while that keeps it within _BLOCK entries, a whole number of
+    # periods, so no rotation is needed. No block or _in_order iterator is
+    # empty, so that move cannot raise StopIteration. When left runs out,
+    # steps is limit; an arrival on the last move has no departure to
+    # raise, so its first visit is taken after the loop. A one-entry
+    # cycle's itemgetter takes it twice: a tuple.
     if port_map[cur] and limit > steps:
         by_degree = {d: port_sequence(agent, d) for d in {len(row) for row in port_map} - {0}}
         for d, p in by_degree.items():
@@ -249,19 +261,21 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
         blocks: list[tuple | None] = [None] * n
         taken[cur], blocks[cur], its[cur] = _departures(cur, port_map[cur], by_degree,
                                                         record_moves, taken)
+        left = repeat(None, limit - steps)
         while True:
             try:
                 if not record_moves:
-                    for steps in range(steps, limit):
+                    for _ in left:
                         cur = next(its[cur])
                 else:
                     append = rows.append
-                    for steps in range(steps, limit):
+                    for _ in left:
                         row, cur = next(its[cur])
                         append(row)
                 steps = limit
                 if first_visit[cur] is None:
-                    raise StopIteration
+                    first_visit[cur] = steps
+                    unvisited -= 1
                 break
             except StopIteration:
                 if its[cur] is not _UNVISITED:
@@ -270,14 +284,19 @@ def _run(g: PortLabeledGraph, agent: PortFunction, start: int, stop, cap,
                         blocks[cur] = block = block * 2
                     taken[cur] += len(block)
                     its[cur] = iter(block)
-                    continue
-                if first_visit[cur] is None:
-                    first_visit[cur] = steps
-                    unvisited -= 1
-                    if cur == target or unvisited == stop_unvisited:
-                        break
-                taken[cur], blocks[cur], its[cur] = _departures(cur, port_map[cur], by_degree,
-                                                                record_moves, taken)
+                else:
+                    if first_visit[cur] is None:
+                        first_visit[cur] = steps = limit - length_hint(left) - 1
+                        unvisited -= 1
+                        if cur == target or unvisited == stop_unvisited:
+                            break
+                    taken[cur], blocks[cur], its[cur] = _departures(cur, port_map[cur], by_degree,
+                                                                    record_moves, taken)
+            if record_moves:
+                row, cur = next(its[cur])
+                append(row)
+            else:
+                cur = next(its[cur])
 
     # A node's occupancies are its departures, plus the final one.
     visit_counts = list(map(sub, taken, map(length_hint, its)))

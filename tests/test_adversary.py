@@ -291,6 +291,13 @@ class TestVerifyCubicBound:
         for d in range(2, 51):
             assert verify_cubic_bound(ROTOR, 3 * d).cover == d ** 3 + d ** 2 + 3 * d - 1, d
 
+    def test_cap_beyond_machine_size(self):
+        # the continued walk, counted down from a cap past sys.maxsize
+        r = verify_cubic_bound(ROTOR, 18, cap=10 ** 20)
+        assert r.cap == 10 ** 20
+        assert dataclasses.replace(r, cap=4 * r.instance.graph.n ** 3) == verify_cubic_bound(
+            ROTOR, 18)
+
     def test_always_one_never_covers(self):
         r = verify_cubic_bound(ALWAYS_1, 18, cap=10_000)
         assert r.verdict == "pass-vacuous"
@@ -322,7 +329,24 @@ class TestVerifyCubicBound:
         # and a cover counts only when it is within the cap.
         inst = build_cubic_instance(agent, n)
         for cap in (None, 10_000, inst.certified_bound // 2):
-            assert_cubic_matches_oracle(agent, n, cap, inst)
+            assert_cubic_matches_oracle(agent, agent.name, n, cap, inst)
+
+    @given(st.integers(6, 30).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.fixed_dictionaries({d: st.one_of(
+            st.lists(st.integers(1, d), min_size=1, max_size=2 * d),
+            st.permutations(range(1, d + 1)).map(list))
+            for d in (1, 2, n // 3)}),
+        st.one_of(st.none(), st.integers(1, 4 * n ** 3)))))
+    @settings(max_examples=100, deadline=None)
+    def test_random_tables_match_oracle(self, params):
+        # Capped head walks and continued walks. Most random tables never
+        # cover; a permutation, each port once a period like the
+        # rotor-router's, often does. A fail verdict is a counterexample.
+        n, tables, cap = params
+        agent = ScriptedPortFunction(tables, "cycle")
+        inst = build_cubic_instance(agent, n)
+        assert assert_cubic_matches_oracle(agent, tables, n, cap, inst).passed
 
     @pytest.mark.parametrize("bound", [268, 4_000])
     @pytest.mark.parametrize("agent", BATTERY, ids=lambda a: a.name)
@@ -337,7 +361,7 @@ class TestVerifyCubicBound:
             build(*a), certified_bound=bound))
         inst = adversary.build_cubic_instance(agent, 18)
         for cap in (None, 5, 268, 269, 3_999):
-            assert_cubic_matches_oracle(agent, 18, cap, inst)
+            assert_cubic_matches_oracle(agent, agent.name, 18, cap, inst)
 
     def test_one_walk_on_the_instance(self, monkeypatch):
         # The rotor-router at n = 180 covers at step 219,779; before the
@@ -357,15 +381,17 @@ class TestVerifyCubicBound:
         assert sum(steps for g, steps in walked if g is r.instance.graph) == 219_779
 
 
-def assert_cubic_matches_oracle(agent, n, cap, inst):
+def assert_cubic_matches_oracle(agent, spec, n, cap, inst):
     """verify_cubic_bound's cover and v* count against oracles.walk on inst,
-    the instance it builds. The oracle walks on to the bound whatever the
-    cap, so a cover past the cap is dropped here."""
+    the instance it builds, spec being the agent's battery name or its
+    per-degree cycle tables. The oracle walks on to the bound whatever the
+    cap, so a cover past the cap is dropped here. Returns the report."""
     r = verify_cubic_bound(agent, n, cap=cap)
-    w = ORACLES.walk([list(row) for row in inst.graph.port_map], inst.start, agent.name,
+    w = ORACLES.walk([list(row) for row in inst.graph.port_map], inst.start, spec,
                      r.cap, watch=inst.construction_log["v_star"], horizon=inst.certified_bound)
     cover = w.reached if w.reached is not None and w.reached <= r.cap else None
     assert (r.cover, r.v_star_visits) == (cover, w.watch_visits)
+    return r
 
 
 def oracle_path_walk(agent, n, limit):

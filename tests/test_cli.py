@@ -92,6 +92,14 @@ class TestSimulateCommand:
         assert code == 0
         assert out.read_text().startswith("step,node,outport,next_node")
 
+    def test_cap_beyond_machine_size(self, path_graph_file, capsys):
+        argv = ["simulate", "--graph", path_graph_file, "--agent", "rotor-router",
+                "--start", "3"]
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        assert main(argv + ["--cap", "100000000000000000000"]) == 0
+        assert capsys.readouterr() == default
+
     def test_missing_graph_file(self, tmp_path):
         code = main(["simulate", "--graph", str(tmp_path / "nope.json"),
                      "--agent", "rotor-router"])

@@ -268,6 +268,7 @@ class TestFirstVisitDetection:
         with pytest.raises(HorizonExceededError, match="^no table for degree 2$") as e:
             run(path4(), agent, 3, ("steps", 2), record_moves=record)
         assert type(e.value) is HorizonExceededError
+        assert e.value.__context__ is None  # not raised while the walk handled a StopIteration
 
     @pytest.mark.parametrize("record", [True, False])
     def test_agent_violation_propagates(self, record):
@@ -278,6 +279,22 @@ class TestFirstVisitDetection:
                            match="^node state 2 needs more than 1 bits at degree 1$") as e:
             run(path4(), agent, 3, ("steps", 3), record_moves=record)
         assert type(e.value) is AgentViolationError
+
+
+class TestCapsBeyondMachineSize:
+    """A cap past sys.maxsize, which no walk reaches, runs the walk that the
+    default cap runs."""
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("stop", ["covered", ("target", 0)])
+    @pytest.mark.parametrize("cap", [2 ** 63, 10 ** 20])
+    def test_same_trace_as_under_the_default_cap(self, cap, stop, record):
+        # The rotor-router leaves nodes of its worst 200-node path more
+        # than _BLOCK times on its 199^2 steps.
+        g = build_path(worst_case_path_labeling(ROTOR, 200))
+        t = run(g, ROTOR, 199, stop, cap=cap, record_moves=record)
+        assert t == run(g, ROTOR, 199, stop, record_moves=record)
+        assert (t.steps, t.stopped) == (199 ** 2, True) and max(t.visit_counts) > _BLOCK
 
 
 graph_params = st.tuples(
@@ -709,7 +726,7 @@ class TestCompiledLoop:
     def test_walk_state_is_no_closure_cell(self):
         # A comprehension in _run naming cur made it a cell on Python 3.11,
         # a cell load and store at every step: 3-4% slower capped walks.
-        assert not {"cur", "steps", "its"} & set(_run.__code__.co_cellvars)
+        assert not {"cur", "steps", "its", "left"} & set(_run.__code__.co_cellvars)
 
     @pytest.mark.parametrize("bad", [
         lambda d: (0,), lambda d: (d + 1,), lambda d: (1.0,), lambda d: (True,),

@@ -30,12 +30,15 @@ just before and just after it, and the rate is multiplied by the
 harmonic mean of those two times over calibrate.REFERENCE_S. That gives
 the rate at the speed of the host the benchmark was calibrated on.
 Prints one JSON object: per mode, the median scaled rate over REPEATS
-runs, every repeat's scaled rate, and the kernel times beside them.
+runs, every repeat's scaled rate, and the kernel times beside them; its
+python field is the interpreter's version, since the engine's rates
+depend on it.
 """
 
 from __future__ import annotations
 
 import json
+import platform
 import sys
 import time
 from pathlib import Path
@@ -85,7 +88,7 @@ def rates(work, units: int, unit: str) -> dict:
 
 def main() -> None:
     inst = build_cubic_instance(RotorRouter(), 90)
-    out = {}
+    out = {"python": platform.python_version()}
     for mode, (agent, record) in MODES.items():
         out[mode] = rates(lambda: run(inst.graph, agent, inst.start, ("steps", STEPS),
                                       record_moves=record), STEPS, "steps")
