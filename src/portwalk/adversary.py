@@ -31,9 +31,8 @@ at least d^2(d-1) with d about a third of the node count, i.e. cubic.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .agents import PortFunction, derive_port_function
 from .errors import (
@@ -53,23 +52,24 @@ from .graphs import (
 from .simulate import SimulationTrace, _cap, _run, run, visit_count_upto
 
 
-@dataclass(frozen=True)
-class AdversarialInstance:
+class AdversarialInstance(NamedTuple("AdversarialInstance", [
+        ("graph", PortLabeledGraph), ("start", int), ("certified_bound", int),
+        ("construction_log", dict)])):
     """The cubic construction's arena plus the certificate that comes with it.
 
     The certificate is that a walk from start covers the graph no earlier
-    than step certified_bound. construction_log records every choice made
-    (rare port, replaced clique node, per-node majority values) so the
-    construction can be replayed exactly.
+    than step certified_bound, which must be an int of at least 1.
+    construction_log records every choice made (rare port, replaced clique
+    node, per-node majority values) so the construction can be replayed
+    exactly.
     """
 
-    graph: PortLabeledGraph
-    start: int
-    certified_bound: int
-    construction_log: dict
+    __slots__ = ()
 
-    def __post_init__(self):
-        whole(self.certified_bound, "certified bound", InvalidSizeError, 1)
+    def __new__(cls, graph: PortLabeledGraph, start: int, certified_bound: int,
+                construction_log: dict):
+        whole(certified_bound, "certified bound", InvalidSizeError, 1)
+        return super().__new__(cls, graph, start, certified_bound, construction_log)
 
 
 def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
@@ -90,8 +90,7 @@ def worst_case_path_labeling(agent: PortFunction, n: int) -> PathLabeling:
     return PathLabeling(n, toward_far)
 
 
-@dataclass(frozen=True)
-class PathBoundReport:
+class PathBoundReport(NamedTuple):
     """Outcome of checking the quadratic path bound against one agent."""
 
     agent: str
@@ -224,8 +223,7 @@ def build_cubic_instance(agent: PortFunction, n: int,
     )
 
 
-@dataclass(frozen=True)
-class CubicBoundReport:
+class CubicBoundReport(NamedTuple):
     """Outcome of checking the cubic cover bound against one agent."""
 
     agent: str

@@ -32,7 +32,6 @@ from __future__ import annotations
 import json
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
@@ -220,7 +219,6 @@ def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction
     return ScriptedPortFunction(tables, doc.get("extension", "cycle"), name=name)
 
 
-@dataclass(frozen=True)
 class WhiteboardAgent(PortFunction):
     """Raw agent model: a transition on (node state, degree).
 
@@ -230,10 +228,12 @@ class WhiteboardAgent(PortFunction):
     budgets, None for unlimited). Every node starts in initial_state.
     """
 
-    transition: Callable[[int, int], tuple[int, int]]
-    initial_state: int = 0
-    memory_bits: int | Callable[[int], int] | None = None
-    name: str = "whiteboard"
+    def __init__(self, transition: Callable[[int, int], tuple[int, int]],
+                 initial_state: int = 0,
+                 memory_bits: int | Callable[[int], int] | None = None,
+                 name: str = "whiteboard"):
+        self.transition, self.initial_state = transition, initial_state
+        self.memory_bits, self.name = memory_bits, name
 
     def budget(self, d: int) -> int | None:
         """Bits a degree-d node may use, None for unlimited.

@@ -10,9 +10,8 @@ from __future__ import annotations
 import io
 import json
 import sys
-from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .agents import CyclicAgent, PortFunction, RotorRouter, port_sequence
 from .adversary import (
@@ -41,8 +40,7 @@ def battery() -> dict[str, PortFunction]:
     }
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     experiment: str
     agent: str
     n: int
@@ -52,13 +50,12 @@ class ReportRow:
     verdict: str
 
 
-@dataclass
 class ExperimentReport:
     """Ordered result rows plus the aggregate verdict."""
 
-    experiment: str
-    params: dict
-    rows: list[ReportRow] = field(default_factory=list)
+    def __init__(self, experiment: str, params: dict, rows: list[ReportRow] | None = None):
+        self.experiment, self.params = experiment, params
+        self.rows = [] if rows is None else rows
 
     @property
     def aggregate(self) -> str:
@@ -76,7 +73,7 @@ class ExperimentReport:
         out = io.StringIO()
         w = csv.writer(out, lineterminator="\n")
         w.writerow(["experiment", "agent", "n", "param", "bound", "measured", "verdict"])
-        w.writerows(vars(r).values() for r in self.rows)
+        w.writerows(self.rows)
         w.writerow(["aggregate", "", "", "", "", "", self.aggregate])
         return out.getvalue()
 
@@ -84,14 +81,13 @@ class ExperimentReport:
         doc = {
             "experiment": self.experiment,
             "params": self.params,
-            "rows": [vars(r) for r in self.rows],
+            "rows": [r._asdict() for r in self.rows],
             "aggregate": self.aggregate,
         }
         return json.dumps(doc, indent=2) + "\n"
 
 
-@dataclass(frozen=True)
-class BruteForceResult:
+class BruteForceResult(NamedTuple):
     """Exhaustive worst case over all path labelings for one agent.
 
     max_steps / labeling describe the labeling maximizing the finite

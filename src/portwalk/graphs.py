@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
 from itertools import chain
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     GraphParseError,
@@ -31,8 +30,7 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class PortLabeledGraph:
+class PortLabeledGraph(NamedTuple):
     """Immutable port-labeled graph.
 
     port_map[v] is an ordered tuple of neighbor ids; the neighbor at index
@@ -74,29 +72,28 @@ def _as_graph(n: int, rows: Iterable[Sequence[int]]) -> PortLabeledGraph:
     return PortLabeledGraph(n, tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class PathLabeling:
+class PathLabeling(NamedTuple("PathLabeling", [("n", int), ("toward_far", tuple[int, ...])])):
     """Port choices for the internal nodes of an n-node path.
 
     The path's nodes are v_1 .. v_n with v_1 the far (target) endpoint.
     toward_far[i-2] is the port label (1 or 2) that node v_i assigns to
     the arc pointing away from v_1, i.e. toward v_{i+1}, for each internal
     node v_i with 2 <= i <= n-1. Endpoints have a single forced port.
+    toward_far is made a tuple and checked on construction.
     """
 
-    n: int
-    toward_far: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        whole(self.n, "n", InvalidSizeError, 2)
-        object.__setattr__(self, "toward_far", tuple(self.toward_far))
-        if len(self.toward_far) != self.n - 2:
+    def __new__(cls, n: int, toward_far: Iterable[int]):
+        whole(n, "n", InvalidSizeError, 2)
+        toward_far = tuple(toward_far)
+        if len(toward_far) != n - 2:
             raise InvalidSizeError(
-                f"labeling for {self.n} nodes needs {self.n - 2} entries, "
-                f"got {len(self.toward_far)}"
+                f"labeling for {n} nodes needs {n - 2} entries, got {len(toward_far)}"
             )
-        for e in self.toward_far:
+        for e in toward_far:
             whole(e, "toward_far entry", InvalidPortError, 1, 2)
+        return super().__new__(cls, n, toward_far)
 
 
 def build_path(labeling: PathLabeling) -> PortLabeledGraph:

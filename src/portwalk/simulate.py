@@ -45,19 +45,17 @@ Nodes, the cap and step counts are checked once per call by errors.whole.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import count, repeat
 from operator import itemgetter, length_hint, sub
 from sys import maxsize
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .agents import PortFunction, port_sequence
+from .agents import PortFunction, _Ports, port_sequence
 from .errors import InvalidArcError, InvalidLimitError, InvalidVertexError, whole
 from .graphs import PortLabeledGraph
 
 
-@dataclass
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     """Complete record of one run.
 
     moves holds (node, outport) per step in order, or None when the run
@@ -138,17 +136,20 @@ _UNVISITED = iter(())  # every unvisited node's iterator: next() raises StopIter
 _BLOCK = 256  # the entries a refilled block grows to at most, unless one period is longer
 
 
-def _in_order(row: tuple, ports: Sequence[int], c: int, taken: list, v: int) -> Iterator:
+def _in_order(row: tuple, ports: _Ports, c: int, taken: list, v: int) -> Iterator:
     """row's entries behind port_d(c + 1), port_d(c + 2), ... of an iterator agent.
 
-    Entry i is read from ports, a port_sequence, at the node's (i+1)-th
-    departure, so the agent is advanced lazily and in order; taken[v]
-    becomes i + 1 as it is handed out. A generator: it costs less per
-    step than map over a Python-level __getitem__.
+    Entry i is read from ports, the degree's agents._Ports, at the node's
+    (i+1)-th departure, so the agent is advanced lazily and in order;
+    taken[v] becomes i + 1 as it is handed out. An entry another node has
+    read already is taken from ports.read, and only an entry past its end
+    calls ports' Python-level __getitem__, which reads it or raises the
+    agent's error. A generator: it costs less per step than map.
     """
+    read = ports.read
     for i in count(c):
         taken[v] = i + 1
-        yield row[ports[i] - 1]
+        yield row[(read[i] if i < len(read) else ports[i]) - 1]
 
 
 def _departures(v: int, row: tuple, by_degree: dict, record: bool, taken: list):

@@ -1,6 +1,5 @@
 """Worst-case constructions and their certificates."""
 
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 
 from bench_modules import load
 from portwalk.adversary import (
+    AdversarialInstance,
+    CubicBoundReport,
     build_cubic_instance,
     export_instance,
     rare_port,
@@ -295,8 +296,8 @@ class TestVerifyCubicBound:
         # the continued walk, counted down from a cap past sys.maxsize
         r = verify_cubic_bound(ROTOR, 18, cap=10 ** 20)
         assert r.cap == 10 ** 20
-        assert dataclasses.replace(r, cap=4 * r.instance.graph.n ** 3) == verify_cubic_bound(
-            ROTOR, 18)
+        assert CubicBoundReport(**{**r._asdict(), "cap": 4 * r.instance.graph.n ** 3}) == (
+            verify_cubic_bound(ROTOR, 18))
 
     def test_always_one_never_covers(self):
         r = verify_cubic_bound(ALWAYS_1, 18, cap=10_000)
@@ -357,8 +358,8 @@ class TestVerifyCubicBound:
         # cap below it must still hide it.
         import portwalk.adversary as adversary
         build = adversary.build_cubic_instance
-        monkeypatch.setattr(adversary, "build_cubic_instance", lambda *a: dataclasses.replace(
-            build(*a), certified_bound=bound))
+        monkeypatch.setattr(adversary, "build_cubic_instance", lambda *a: AdversarialInstance(
+            **{**build(*a)._asdict(), "certified_bound": bound}))
         inst = adversary.build_cubic_instance(agent, 18)
         for cap in (None, 5, 268, 269, 3_999):
             assert_cubic_matches_oracle(agent, agent.name, 18, cap, inst)

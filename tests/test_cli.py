@@ -254,7 +254,7 @@ class TestReportRowsMatchSweeps:
         assert capsys.readouterr().out == report.to_csv()
         main([command, "--agent", agent, "--n", str(n), "--format", "json"])
         doc = json.loads(capsys.readouterr().out)
-        assert doc["rows"] == [vars(r) for r in report.rows]
+        assert doc["rows"] == [r._asdict() for r in report.rows]
         assert doc["params"] == {"agent": agent, "n": n}
 
 

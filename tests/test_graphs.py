@@ -65,8 +65,9 @@ def diameter_cases():
 
 class TestPathLabeling:
     def test_length_must_match(self):
-        with pytest.raises(InvalidSizeError):
-            PathLabeling(4, (1,))
+        for entries in [(1,), (1, 2, 1)]:
+            with pytest.raises(InvalidSizeError):
+                PathLabeling(4, entries)
 
     def test_entries_must_be_ports(self):
         for n, entries in [(4, (1, 3)), (3, (1.0,)), (3, (True,))]:

@@ -23,6 +23,9 @@ times, per row, as `portwalk simulate` does, and deserialize_docs_per_s
 parses DOCS copies of the random graph's document. Work can move between
 the recorded walk and export_trace, so export_rows_per_s alone can
 overstate a change to the trace path; simulate_rows_per_s counts both.
+import_s is the time a fresh `python -I -S` child, with the same portwalk
+first on its path, takes to import portwalk and portwalk.cli, as the
+child itself times it: the set-up a CLI process pays before its work.
 
 The host's speed drifts by up to 2x between runs, so each repeat is
 scaled as bench/run.py scales a pass: bench/calibrate.kernel() is timed
@@ -30,20 +33,22 @@ just before and just after it, and the rate is multiplied by the
 harmonic mean of those two times over calibrate.REFERENCE_S. That gives
 the rate at the speed of the host the benchmark was calibrated on.
 Prints one JSON object: per mode, the median scaled rate over REPEATS
-runs, every repeat's scaled rate, and the kernel times beside them; its
-python field is the interpreter's version, since the engine's rates
-depend on it.
+runs, every repeat's scaled rate, and the kernel times beside them (for
+import_s, scaled seconds); its python field is the interpreter's version,
+since the engine's rates depend on it.
 """
 
 from __future__ import annotations
 
 import json
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 from statistics import harmonic_mean, median
 
+import portwalk
 from portwalk.adversary import build_cubic_instance, worst_case_path_labeling
 from portwalk.agents import CyclicAgent, RotorRouter, whiteboard_rotor_router
 from portwalk.graphs import build_path, deserialize, random_connected_graph, serialize
@@ -64,6 +69,8 @@ MODES = {
     "counters_only_whiteboard": (whiteboard_rotor_router(), False),
 }
 CAPPED = CyclicAgent((1, 1, 2), name="biased-112")
+IMPORT = ("import sys, time; sys.path.insert(0, {src!r}); t0 = time.perf_counter(); "
+          "import portwalk, portwalk.cli; print(time.perf_counter() - t0)")
 
 
 def kernel_s() -> float:
@@ -86,9 +93,22 @@ def rates(work, units: int, unit: str) -> dict:
     return {f"median_{unit}_per_s": median(got), f"{unit}_per_s": got, "kernel_s": kernels}
 
 
+def import_s() -> dict:
+    """Scaled seconds of IMPORT, each timed by a fresh child of this interpreter."""
+    code = IMPORT.format(src=str(Path(portwalk.__file__).resolve().parents[1]))
+    got, kernels = [], []
+    for _ in range(REPEATS):
+        before = kernel_s()
+        child = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+                               text=True, check=True)
+        kernels.append(harmonic_mean([before, kernel_s()]))
+        got.append(float(child.stdout) * calibrate.REFERENCE_S / kernels[-1])
+    return {"median_s": median(got), "s": got, "kernel_s": kernels}
+
+
 def main() -> None:
+    out = {"python": platform.python_version(), "import_s": import_s()}
     inst = build_cubic_instance(RotorRouter(), 90)
-    out = {"python": platform.python_version()}
     for mode, (agent, record) in MODES.items():
         out[mode] = rates(lambda: run(inst.graph, agent, inst.start, ("steps", STEPS),
                                       record_moves=record), STEPS, "steps")
