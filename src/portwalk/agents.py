@@ -19,8 +19,8 @@ port_d(1), port_d(2), .... The rotor-router, cyclic patterns and "cycle"
 scripts return cycles; "fail" scripts and whiteboard agents return
 iterators.
 
-Every reader of port_d (the walk engine, the brute force, outport(d, i)
-and derive_port_function, which both constructions call) goes through
+Every reader of port_d (the walk engine, the brute force, and
+derive_port_function, which both constructions call) goes through
 port_sequence(agent, d), which checks d and gives the checked cycle, or a
 sequence that advances the iterator once per index, the first time it is
 read. A port is legal at degree d when errors.is_whole(p, 1, d); _port is
@@ -37,7 +37,6 @@ from typing import Callable, Mapping, Sequence
 from .errors import (
     AgentViolationError,
     HorizonExceededError,
-    InvalidLimitError,
     InvalidPortError,
     InvalidSizeError,
     is_whole,
@@ -46,18 +45,13 @@ from .errors import (
 
 
 class PortFunction:
-    """Base interface: ports(d) states port_d, outport(d, i) reads port_d(i)."""
+    """Base interface: a name and the one hook ports(d), which states port_d."""
 
     name = "agent"
 
     def ports(self, d: int) -> tuple[int, ...] | Iterator[int]:
         """port_d as a cycle (a non-empty tuple) or an iterator of port_d(1), ...."""
         raise NotImplementedError
-
-    def outport(self, d: int, i: int) -> int:
-        whole(i, "visit index", InvalidLimitError, 1)
-        seq = port_sequence(self, d)
-        return seq[(i - 1) % len(seq)]
 
 
 def _port(p, d: int) -> int:
@@ -235,27 +229,20 @@ class WhiteboardAgent(PortFunction):
         self.transition, self.initial_state = transition, initial_state
         self.memory_bits, self.name = memory_bits, name
 
-    def budget(self, d: int) -> int | None:
-        """Bits a degree-d node may use, None for unlimited.
-
-        Raises AgentViolationError unless that is None or a non-negative
-        int (a bool is not one).
-        """
-        bits = self.memory_bits(d) if callable(self.memory_bits) else self.memory_bits
-        if bits is not None and not is_whole(bits, 0):
-            raise AgentViolationError(f"memory budget {bits!r} at degree {d} "
-                                      "is not a non-negative int")
-        return bits
-
     def ports(self, d: int) -> Iterator[int]:
         """The outports taken at a virtual degree-d node, one transition each.
 
-        Replays the transition from the initial state. A port is yielded
-        once _port and the state it leaves behind are checked (a node state
-        is a non-negative int, not a bool, within the budget), so reading
-        port_d(k) runs exactly k transitions. Raises AgentViolationError.
+        Replays the transition from the initial state. The budget (None, or
+        a non-negative int, not a bool) is checked at the first read; a port
+        is yielded once _port and the state it leaves behind are checked (a
+        node state is a non-negative int, not a bool, within the budget), so
+        reading port_d(k) runs exactly k transitions. Raises
+        AgentViolationError.
         """
-        budget = self.budget(d)
+        budget = self.memory_bits(d) if callable(self.memory_bits) else self.memory_bits
+        if budget is not None and not is_whole(budget, 0):
+            raise AgentViolationError(f"memory budget {budget!r} at degree {d} "
+                                      "is not a non-negative int")
         state, port = self.initial_state, None
         while True:  # check the initial state, then every state a transition returns
             if not is_whole(state, 0):

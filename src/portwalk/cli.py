@@ -130,24 +130,25 @@ def build_parser() -> argparse.ArgumentParser:
                     "check worst-case exploration bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Flags of every report command, and of the three checks of one agent at one n.
-    report = argparse.ArgumentParser(add_help=False)
-    report.add_argument("--cap", type=int, default=None)
-    report.add_argument("--out", help="write output to this file instead of stdout")
+    # Each flag once, on a parent: simulate takes agent and capped, the report
+    # commands capped and --format, the checks of one agent at one n also --n.
+    agent = argparse.ArgumentParser(add_help=False)
+    agent.add_argument("--agent", required=True, help="builtin name or script file")
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--cap", type=int, default=None)
+    capped.add_argument("--out", help="write output to this file instead of stdout")
+    report = argparse.ArgumentParser(add_help=False, parents=[capped])
     report.add_argument("--format", choices=("csv", "json"), default="csv")
-    check = argparse.ArgumentParser(add_help=False)
-    check.add_argument("--agent", required=True, help="builtin name or script file")
+    check = argparse.ArgumentParser(add_help=False, parents=[agent])
     check.add_argument("--n", type=int, required=True)
     check.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("simulate", help="run one agent on one graph, emit the trace")
+    p = sub.add_parser("simulate", parents=[agent, capped],
+                       help="run one agent on one graph, emit the trace")
     p.add_argument("--graph", required=True, help="graph document file")
-    p.add_argument("--agent", required=True, help="builtin name or script file")
     p.add_argument("--start", type=int, default=0)
     p.add_argument("--stop", default="covered",
                    help="covered | target:<node> | steps:<k>")
-    p.add_argument("--cap", type=int, default=None)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_simulate)
 
     sub.add_parser("adversary-path", parents=[check, report],

@@ -33,8 +33,8 @@ class InvalidArcError(PortWalkError, ValueError):
 
 
 class InvalidLimitError(PortWalkError, ValueError):
-    """A limit (a run's cap, step budget or target, a visit index, a bound's
-    factor) is unusable, or a step limit exceeds the length of its trace."""
+    """A limit (a run's cap, step budget or target, a bound's factor) is
+    unusable, or a step limit exceeds the length of its trace."""
 
 
 class HorizonExceededError(PortWalkError, LookupError):

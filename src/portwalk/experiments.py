@@ -92,14 +92,15 @@ class BruteForceResult(NamedTuple):
 
     max_steps / labeling describe the labeling maximizing the finite
     steps-to-target; unstopped counts labelings whose run never reached
-    the target within the cap (their cost is unbounded as far as the
-    enumeration can tell).
+    the target within cap, the step cap every walk ran under (their cost
+    is more than cap steps as far as the enumeration can tell).
     """
 
     n: int
     max_steps: int | None
     labeling: PathLabeling | None
     unstopped: int
+    cap: int
 
 
 def _row_walk(n: int, by_degree: dict, label: list[int], cap: int):
@@ -266,23 +267,29 @@ def brute_force_path_worst_case(agent: PortFunction, n: int,
         raise error[1]
     if best_labels is None:
         return BruteForceResult(n=n, max_steps=None, labeling=None,
-                                unstopped=unstopped)
+                                unstopped=unstopped, cap=cap)
     return BruteForceResult(n=n, max_steps=best,
                             labeling=PathLabeling(n, best_labels),
-                            unstopped=unstopped)
+                            unstopped=unstopped, cap=cap)
 
 
 def brute_force_rows(agent: str, r: BruteForceResult) -> list[ReportRow]:
     """The worst-case row of one enumeration, checked against (n-1)^2.
 
-    Labelings whose run never reached the target count as a pass: their
-    cost is at least the cap.
+    A labeling whose run never reached the target costs more than the
+    cap, so it proves a pass when cap + 1 >= (n-1)^2. Under a smaller cap
+    the verdict is pass-vacuous when such labelings are all the pass has.
     """
     bound = (r.n - 1) ** 2
-    ok = (r.max_steps is not None and r.max_steps >= bound) or r.unstopped > 0
+    if r.max_steps is not None and r.max_steps >= bound:
+        verdict = "pass"
+    elif r.unstopped:
+        verdict = "pass" if r.cap + 1 >= bound else "pass-vacuous"
+    else:
+        verdict = "fail"
     measured = "" if r.max_steps is None else str(r.max_steps)
     return [ReportRow("bruteforce-path", agent, r.n, f"unstopped={r.unstopped}",
-                      str(bound), measured, "pass" if ok else "fail")]
+                      str(bound), measured, verdict)]
 
 
 def path_bound_rows(r: PathBoundReport) -> list[ReportRow]:

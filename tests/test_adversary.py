@@ -25,6 +25,7 @@ from portwalk.agents import (
     PortFunction,
     RotorRouter,
     ScriptedPortFunction,
+    derive_port_function,
     whiteboard_rotor_router,
 )
 from portwalk.cli import main
@@ -258,14 +259,14 @@ class TestBuildCubicInstance:
 
     def test_stage_named_on_horizon_error(self):
         # enough degree-6 script for the rare port, nothing for degree 2
-        tables = {6: [ROTOR.outport(6, i) for i in range(1, 31)], 1: [1]}
+        tables = {6: derive_port_function(ROTOR, 6, 30), 1: [1]}
         agent = ScriptedPortFunction(tables, "fail")
         with pytest.raises(HorizonExceededError, match="stage"):
             build_cubic_instance(agent, 18)
 
     def test_path_labeling_stage_named(self):
         # the rare port and the probe run succeed; degree 2 runs out
-        tables = {6: [ROTOR.outport(6, i) for i in range(1, 181)], 2: [1]}
+        tables = {6: derive_port_function(ROTOR, 6, 180), 2: [1]}
         agent = ScriptedPortFunction(tables, "fail")
         with pytest.raises(HorizonExceededError, match="^path-labeling stage: "):
             build_cubic_instance(agent, 18)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_modules import load
+from lazy_agent import Lazy
 from portwalk.adversary import rare_port, worst_case_path_labeling
 from portwalk.agents import (
     CyclicAgent,
@@ -25,7 +26,6 @@ from portwalk.agents import (
 from portwalk.errors import (
     AgentViolationError,
     HorizonExceededError,
-    InvalidLimitError,
     InvalidPortError,
     InvalidSizeError,
 )
@@ -40,42 +40,36 @@ ORACLES = load("oracles")
 
 class TestRotorRouterPort:
     def test_single_port(self):
-        assert ROTOR.outport(1, 7) == 1
+        assert derive_port_function(ROTOR, 1, 7) == [1] * 7
 
     def test_cyclic_wrap(self):
-        assert ROTOR.outport(3, 4) == 1
+        assert derive_port_function(ROTOR, 3, 4) == [1, 2, 3, 1]
 
     def test_second_visit_degree_two(self):
-        assert ROTOR.outport(2, 2) == 2
-
-    @pytest.mark.parametrize("i", [0, -1, 1.5, True, None], ids=repr)
-    def test_bad_visit_index(self, i):
-        with pytest.raises(InvalidLimitError, match="^visit index must be"):
-            ROTOR.outport(2, i)
+        assert derive_port_function(ROTOR, 2, 2) == [1, 2]
 
     @given(st.integers(1, 16), st.integers(0, 30))
     def test_window_uses_each_port_once(self, d, offset):
-        window = [ROTOR.outport(d, offset * d + j) for j in range(1, d + 1)]
+        window = derive_port_function(ROTOR, d, (offset + 1) * d)[-d:]
         assert sorted(window) == list(range(1, d + 1))
 
     def test_class_matches_function(self):
         # the rotor-router is the cycling script of ports 1..d at every degree
         script = ScriptedPortFunction({d: range(1, d + 1) for d in range(1, 9)})
         for d in range(1, 9):
-            for i in range(1, 4 * d):
-                assert ROTOR.outport(d, i) == script.outport(d, i)
+            assert derive_port_function(ROTOR, d, 4 * d) == derive_port_function(script, d, 4 * d)
 
 
 class TestCyclicAgent:
     def test_always_one(self):
         a = CyclicAgent((1,))
-        assert [a.outport(4, i) for i in range(1, 5)] == [1, 1, 1, 1]
+        assert derive_port_function(a, 4, 4) == [1, 1, 1, 1]
 
     def test_folds_into_degree(self):
         a = CyclicAgent((2, 1))
-        assert [a.outport(1, i) for i in range(1, 4)] == [1, 1, 1]
-        assert [a.outport(2, i) for i in range(1, 5)] == [2, 1, 2, 1]
-        assert [a.outport(5, i) for i in range(1, 5)] == [2, 1, 2, 1]
+        assert derive_port_function(a, 1, 3) == [1, 1, 1]
+        assert derive_port_function(a, 2, 4) == [2, 1, 2, 1]
+        assert derive_port_function(a, 5, 4) == [2, 1, 2, 1]
 
     def test_rejects_bad_pattern(self):
         with pytest.raises(InvalidPortError):
@@ -92,14 +86,13 @@ class TestCyclicAgent:
 class TestScripted:
     def test_cycle_matches_rotor(self):
         a = ScriptedPortFunction({2: [1, 2]}, "cycle")
-        for i in range(1, 21):
-            assert a.outport(2, i) == ROTOR.outport(2, i)
+        assert derive_port_function(a, 2, 20) == derive_port_function(ROTOR, 2, 20)
 
     def test_fail_beyond_horizon(self):
         a = ScriptedPortFunction({2: [1]}, "fail")
-        assert a.outport(2, 1) == 1
+        assert derive_port_function(a, 2, 1) == [1]
         with pytest.raises(HorizonExceededError):
-            a.outport(2, 2)
+            derive_port_function(a, 2, 2)
 
     def test_entry_out_of_range(self):
         with pytest.raises(InvalidPortError):
@@ -115,11 +108,11 @@ class TestScripted:
     def test_missing_degree(self):
         a = ScriptedPortFunction({2: [1, 2]})
         with pytest.raises(HorizonExceededError):
-            a.outport(3, 1)
+            derive_port_function(a, 3, 1)
 
     def test_degree_one_is_forced(self):
         a = ScriptedPortFunction({2: [1, 2]}, "fail")
-        assert a.outport(1, 99) == 1
+        assert derive_port_function(a, 1, 99) == [1] * 99
 
     def test_bad_extension(self):
         with pytest.raises(ValueError):
@@ -129,9 +122,9 @@ class TestScripted:
         a = load_agent_script('{"tables": {"2": [1, 2], "3": [3]}, '
                               '"extension": "fail"}')
         assert isinstance(a, ScriptedPortFunction)
-        assert a.outport(3, 1) == 3
+        assert derive_port_function(a, 3, 1) == [3]
         with pytest.raises(HorizonExceededError):
-            a.outport(3, 2)
+            derive_port_function(a, 3, 2)
 
     def test_load_script_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -204,7 +197,6 @@ class TestDerivePortFunction:
         # port_2(8) is the first read that overflows the budget.
         a = WhiteboardAgent(lambda s, d: (s + 1, 1 + s % d), memory_bits=3)
         assert derive_port_function(a, 2, 7) == [1, 2, 1, 2, 1, 2, 1]
-        assert a.outport(2, 5) == 1
         g = build_path(PathLabeling(3, (1,)))
         assert run(g, a, 1, ("steps", 14)).stopped  # node 1 exits on visits 1..7
         with pytest.raises(AgentViolationError,
@@ -244,8 +236,7 @@ class TestDerivePortFunction:
         wb = whiteboard_rotor_router()
         for d in range(1, 17):
             got = derive_port_function(wb, d, 10 * d)
-            want = [ROTOR.outport(d, i) for i in range(1, 10 * d + 1)]
-            assert got == want
+            assert got == derive_port_function(ROTOR, d, 10 * d)
 
     def test_deterministic(self):
         wb = whiteboard_rotor_router()
@@ -254,10 +245,10 @@ class TestDerivePortFunction:
     def test_walk_matches_rotor(self):
         wb = whiteboard_rotor_router()
         assert wb.name == "whiteboard"
-        # every query replays the transition from the initial state
-        assert wb.outport(3, 7) == ROTOR.outport(3, 7)
-        assert wb.outport(3, 2) == ROTOR.outport(3, 2)
-        assert wb.outport(6, 1) == 1
+        # every read replays the transition from the initial state
+        assert derive_port_function(wb, 3, 7) == derive_port_function(ROTOR, 3, 7)
+        assert derive_port_function(wb, 3, 2) == [1, 2]
+        assert derive_port_function(wb, 6, 1) == [1]
         g = random_connected_graph(30, 60, 4)
         walk = export_trace(run(g, whiteboard_rotor_router(), 0, "covered"))
         ports = ORACLES.parse_graph_doc(serialize(g))
@@ -299,9 +290,7 @@ class TestCycle:
                 assert d > 1 and d not in agent.tables
                 continue
             assert type(cyc) is tuple and cyc
-            period = len(cyc)
-            for i in range(1, 3 * period + 1):
-                assert cyc[(i - 1) % period] == agent.outport(d, i)
+            assert derive_port_function(agent, d, 3 * len(cyc)) == list(cyc) * 3
 
     def test_script_without_degree_one_table(self):
         assert ScriptedPortFunction({2: [2]}).ports(1) == (1,)
@@ -399,20 +388,6 @@ def iterating(port):
     return agent_with(lambda d: map(port, itertools.repeat(d), itertools.count(1)))
 
 
-class Counting(PortFunction):
-    """Yields the agent's port_d as an iterator and records every (d, i) it
-    is advanced to."""
-
-    def __init__(self, agent):
-        self.agent = agent
-        self.calls = []
-
-    def ports(self, d):
-        for i in itertools.count(1):
-            self.calls.append((d, i))
-            yield self.agent.outport(d, i)
-
-
 # Each reader of port_d, with the degree whose port it reads first.
 READERS = {
     "run": (1, lambda a: run(build_path(PathLabeling(3, (1,))), a, 0, "covered")),
@@ -451,11 +426,11 @@ class TestOneReader:
     @pytest.mark.parametrize("agent", battery().values(), ids=battery().keys())
     def test_constructions_ask_each_index_once(self, agent):
         for d in range(2, 8):
-            counting = Counting(agent)
+            counting = Lazy(agent)
             rare_port(counting, d)
             assert counting.calls == [(d, i) for i in range(1, d * (d - 1) + 1)]
         for n in range(2, 12):
-            counting = Counting(agent)
+            counting = Lazy(agent)
             worst_case_path_labeling(counting, n)
             assert counting.calls == [(2, i) for i in range(1, 2 * (n - 2))]
 
@@ -463,10 +438,10 @@ class TestOneReader:
     def test_constructions_read_the_cycle(self, agent):
         periodic = agent_with(agent.ports)
         for d in range(2, 8):
-            assert rare_port(periodic, d) == rare_port(Counting(agent), d)
+            assert rare_port(periodic, d) == rare_port(Lazy(agent), d)
         for n in range(2, 12):
             assert (worst_case_path_labeling(periodic, n)
-                    == worst_case_path_labeling(Counting(agent), n))
+                    == worst_case_path_labeling(Lazy(agent), n))
 
     def test_sequence_forms(self):
         assert port_sequence(ROTOR, 3) == (1, 2, 3)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from portwalk.agents import derive_port_function
 from portwalk.cli import build_parser, main, parse_stop, resolve_agent, UsageError
 from portwalk.experiments import (
     ExperimentReport,
@@ -64,7 +65,7 @@ class TestHelpers:
         f = tmp_path / "a.json"
         f.write_text('{"tables": {"2": [1, 2]}, "extension": "cycle"}')
         agent = resolve_agent(str(f))
-        assert agent.outport(2, 2) == 2
+        assert derive_port_function(agent, 2, 2) == [1, 2]
 
     def test_parse_stop(self):
         assert parse_stop("covered") == "covered"
@@ -276,6 +277,14 @@ class TestBruteforceCommand:
             "bruteforce-path,always-1,14,unstopped=4095,169,13,pass\n"
             "aggregate,,,,,,pass\n")
 
+    def test_small_cap_is_vacuous_like_adversary_path(self, capsys):
+        # no walk reaches v_1 within 5 steps, which proves nothing about 81
+        for command in ("bruteforce-path", "adversary-path"):
+            assert main([command, "--agent", "rotor-router", "--n", "10", "--cap", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "bruteforce-path,rotor-router,10,unstopped=256,81,,pass-vacuous\n" in out
+        assert "adversary-path,rotor-router,10,steps-to-target,81,,pass-vacuous\n" in out
+
 
 class TestRotorUpperCommand:
     def test_cases_pass(self, capsys):
@@ -383,11 +392,22 @@ class TestSurface:
         assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
 
 
+def readme_block(heading, language):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(rf"## {heading}\n\n```{language}\n(.*?)```", readme, re.S).group(1)
+
+
+def test_readme_library_block_prints_its_comments(capsys):
+    block = readme_block("Library", "python")
+    want = [line.split("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    exec(block, {})
+    assert want and capsys.readouterr().out.splitlines() == want
+
+
 def test_readme_commands_parse(tmp_path, monkeypatch, capsys):
     # The block runs top to bottom in an empty directory: later lines read
     # the files earlier ones write.
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    block = readme_block("CLI", "sh")
     commands = [shlex.split(line) for line in block.splitlines()]
     assert commands and all(argv[0] == "portwalk" for argv in commands)
     for argv in commands:

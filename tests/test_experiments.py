@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_modules import load
+from lazy_agent import Lazy
 from portwalk.adversary import (
     build_cubic_instance,
     rare_port,
@@ -16,7 +17,6 @@ from portwalk.adversary import (
 )
 from portwalk.agents import (
     CyclicAgent,
-    PortFunction,
     RotorRouter,
     ScriptedPortFunction,
     WhiteboardAgent,
@@ -69,8 +69,7 @@ class TestBattery:
     def test_battery_answers_all_degrees(self):
         for agent in battery().values():
             for d in (1, 2, 7, 30):
-                for i in range(1, 2 * d + 1):
-                    assert 1 <= agent.outport(d, i) <= d
+                assert all(1 <= p <= d for p in derive_port_function(agent, d, 2 * d))
 
 
 class TestBruteForce:
@@ -114,10 +113,22 @@ class TestBruteForce:
     ])
     def test_row_verdict(self, max_steps, unstopped, measured, verdict):
         r = BruteForceResult(n=4, max_steps=max_steps, labeling=None,
-                             unstopped=unstopped)
+                             unstopped=unstopped, cap=4 * 4 ** 3)
         assert brute_force_rows("x", r) == [ReportRow(
             "bruteforce-path", "x", 4, f"unstopped={unstopped}", "9",
             measured, verdict)]
+
+    @pytest.mark.parametrize("max_steps, unstopped, cap, verdict", [
+        # an unstopped walk takes more than cap steps: at least 9 under cap 8
+        (None, 4, 8, "pass"),
+        (3, 3, 7, "pass-vacuous"),
+        (None, 4, 7, "pass-vacuous"),
+        (3, 0, 7, "fail"),
+    ])
+    def test_row_verdict_under_small_cap(self, max_steps, unstopped, cap, verdict):
+        r = BruteForceResult(n=4, max_steps=max_steps, labeling=None,
+                             unstopped=unstopped, cap=cap)
+        assert brute_force_rows("x", r)[0].verdict == verdict
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_oracle_vs_construction(self, n):
@@ -145,7 +156,7 @@ def reference_enumeration(agent, n, cap=None):
         elif best is None or t.steps > best:
             best, best_labeling = t.steps, labeling
     return BruteForceResult(n=n, max_steps=best, labeling=best_labeling,
-                            unstopped=unstopped)
+                            unstopped=unstopped, cap=4 * n ** 3 if cap is None else cap)
 
 
 def outcome(enumerate_labelings, agent, n, cap=None):
@@ -214,23 +225,12 @@ class TestBruteForceMatchesReference:
                 == outcome(reference_enumeration, ROTOR, 5, cap))
 
 
-class AsIterator(PortFunction):
-    """The agent's cycles handed out as iterators at the given degrees, so
-    the brute force takes the row walk instead of the closed form."""
-
-    def __init__(self, agent, degrees):
-        self.agent, self.degrees, self.name = agent, degrees, agent.name
-
-    def ports(self, d):
-        got = self.agent.ports(d)
-        return itertools.cycle(got) if d in self.degrees else got
-
-
 def path_agents(n):
     """(spec, agents): agents that all walk the path by the bench/oracles
     spec. The battery, three fixed and six random degree-2 cycles (some
-    with a degree-1 table), each as its cycles and as iterators at degree
-    1, 2 or both, drawn, and the whiteboard rotor-router."""
+    with a degree-1 table), each as its cycles and served lazily at degree
+    1, 2 or both, drawn, so the brute force takes the row walk instead of
+    the closed form, and the whiteboard rotor-router."""
     rng = random.Random(n)
     specs = [*ORACLES.BATTERY, {2: [2, 1, 1, 2, 1, 2, 2]}, {1: [1, 1], 2: [2, 2, 1]},
              {2: [1, 2, 2, 1, 1]}]
@@ -241,7 +241,7 @@ def path_agents(n):
         specs.append(spec)
     for spec in specs:
         agent = battery()[spec] if isinstance(spec, str) else ScriptedPortFunction(spec)
-        agents = [agent, AsIterator(agent, rng.choice(((1,), (2,), (1, 2))))]
+        agents = [agent, Lazy(agent, cycles=rng.choice(((2,), (1,), ())))]
         if spec == "rotor-router":
             agents.append(whiteboard_rotor_router())
         yield spec, agents
@@ -249,8 +249,9 @@ def path_agents(n):
 
 def oracle_result(spec, n, cap=None):
     """oracles.path_worst_case, under the brute force's default cap 4n^3."""
-    w = ORACLES.path_worst_case(spec, n, 4 * n ** 3 if cap is None else cap)
-    return BruteForceResult(n=n, max_steps=w.max_steps, unstopped=w.unstopped,
+    cap = 4 * n ** 3 if cap is None else cap
+    w = ORACLES.path_worst_case(spec, n, cap)
+    return BruteForceResult(n=n, max_steps=w.max_steps, unstopped=w.unstopped, cap=cap,
                             labeling=None if w.labeling is None else PathLabeling(n, w.labeling))
 
 
@@ -271,7 +272,8 @@ class TestBruteForceMatchesOracle:
             caps = [None, 1, n - 2, n - 1, n, 3 * n, *(() if worst is None else (worst, worst - 1))]
             for cap in dict.fromkeys(c for c in caps if c is None or c >= 1):
                 # no walk arrives after the worst case and by the default cap
-                want = uncapped if cap in (None, worst) else oracle_result(spec, n, cap)
+                want = (uncapped._replace(cap=cap or uncapped.cap) if cap in (None, worst)
+                        else oracle_result(spec, n, cap))
                 for agent in agents:
                     assert brute_force_path_worst_case(agent, n, cap) == want, (spec, cap)
 
@@ -295,26 +297,12 @@ class TestPathFromEveryStart:
                     run(g, agent, s, "covered", cap=bound, record_moves=False)
                     for g in graphs)), (name, s)
 
-class Counting(PortFunction):
-    """Yields the agent's port_d as an iterator and records every (d, i) it
-    is advanced to."""
-
-    def __init__(self, agent):
-        self.agent = agent
-        self.calls = []
-
-    def ports(self, d):
-        for i in itertools.count(1):
-            self.calls.append((d, i))
-            yield self.agent.outport(d, i)
-
-
 class TestBruteForceReadsPortsOnce:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_outport_asked_once_per_index(self, n):
         cap = 4 * n ** 3
         for spec, agent in [*battery().items(), ("rotor-router", whiteboard_rotor_router())]:
-            counting = Counting(agent)
+            counting = Lazy(agent)
             assert brute_force_path_worst_case(counting, n) == oracle_result(spec, n)
             # degree d is asked exactly 1..k, k the most exits of one node of
             # degree d in any labeling's walk: its occupancies before the walk
@@ -331,7 +319,7 @@ class TestBruteForceReadsPortsOnce:
 
     @pytest.mark.parametrize("lazy, bad", [(1, 2), (2, 1)])
     def test_bad_cycle_beside_none_rejected(self, lazy, bad):
-        class Mixed(Counting):
+        class Mixed(Lazy):
             def ports(self, d):
                 return super().ports(d) if d == lazy else (d + 1,)
         agent = Mixed(ROTOR)
@@ -379,7 +367,7 @@ SIZED_CALLS = {
     "brute_force": lambda: brute_force_path_worst_case(ROTOR, 4.0),
     "derive_port_function": lambda: derive_port_function(ROTOR, 2, 3.0),
     "derive_port_function_degree": lambda: derive_port_function(ROTOR, 2.0, 2),
-    "outport_degree_true": lambda: ROTOR.outport(True, 1),
+    "port_sequence_degree_true": lambda: port_sequence(ROTOR, True),
     "memory_bits": lambda: memory_lower_bound_check(1.5, 2),
 }
 
@@ -392,10 +380,9 @@ def test_non_integer_size_rejected(call):
 
 @pytest.mark.parametrize("d", [0, -1])
 @pytest.mark.parametrize("read", [
-    lambda d: CyclicAgent((1,)).outport(d, 1),
     lambda d: derive_port_function(whiteboard_rotor_router(), d, 1),
     lambda d: port_sequence(CyclicAgent((1,)), d),
-], ids=["outport", "derive_port_function", "port_sequence"])
+], ids=["derive_port_function", "port_sequence"])
 def test_degree_below_one_rejected(read, d):
     with pytest.raises(InvalidSizeError, match=f"^degree must be at least 1, got {d}$"):
         read(d)

@@ -36,7 +36,7 @@ FIELDS = {
     CubicBoundReport: ("agent", "n", "d", "bound", "cover", "v_star", "v_star_visits",
                        "v_star_budget", "cap", "verdict", "instance"),
     ReportRow: ("experiment", "agent", "n", "param", "bound", "measured", "verdict"),
-    BruteForceResult: ("n", "max_steps", "labeling", "unstopped"),
+    BruteForceResult: ("n", "max_steps", "labeling", "unstopped", "cap"),
 }
 
 

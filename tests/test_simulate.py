@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bench_modules import load
+from lazy_agent import Lazy
 from portwalk.adversary import build_cubic_instance, worst_case_path_labeling
 from portwalk.agents import (
     CyclicAgent,
@@ -22,6 +23,7 @@ from portwalk.agents import (
     RotorRouter,
     ScriptedPortFunction,
     WhiteboardAgent,
+    derive_port_function,
     whiteboard_rotor_router,
 )
 from portwalk.errors import (
@@ -306,25 +308,10 @@ graph_params = st.tuples(
 ))
 
 
-class CallBased(PortFunction):
-    """Yields the agent's outport(d, 1), outport(d, 2), ... as an iterator, so
-    run() reads it through a lazy port sequence."""
-
-    def __init__(self, agent):
-        self.agent = agent
-        self.name = agent.name
-
-    def ports(self, d):
-        return map(self.ask, itertools.repeat(d), itertools.count(1))
-
-    def ask(self, d, i):
-        return self.agent.outport(d, i)
-
-
 def periodic_agents(degrees):
     """(spec, agent): an agent with a period at each of the degrees, and its
     bench/oracles spec. The battery, random cycle tables and folded
-    patterns, each as its cycle or as an iterator (CallBased), and the
+    patterns, each as its cycle or served lazily (Lazy), and the
     whiteboard rotor-router."""
     tables = {d: st.lists(st.integers(1, d), min_size=1, max_size=6) for d in degrees}
     cycles = st.one_of(
@@ -333,7 +320,7 @@ def periodic_agents(degrees):
         st.lists(st.integers(1, 20), min_size=1, max_size=6).map(lambda p: (
             {d: [(e - 1) % d + 1 for e in p] for d in degrees}, CyclicAgent(p))),
     )
-    return st.one_of(cycles, cycles.map(lambda sa: (sa[0], CallBased(sa[1]))),
+    return st.one_of(cycles, cycles.map(lambda sa: (sa[0], Lazy(sa[1]))),
                      st.just(("rotor-router", whiteboard_rotor_router())))
 
 
@@ -624,7 +611,7 @@ class TestTraceInvariants:
         for v in range(n):
             taken = outports_taken(t, v)
             d = g.degree(v)
-            assert taken == [agent.outport(d, i) for i in range(1, len(taken) + 1)]
+            assert taken == derive_port_function(agent, d, len(taken))
 
     @given(graph_params, st.randoms(use_true_random=False))
     @settings(max_examples=50, deadline=None)
@@ -741,18 +728,6 @@ class TestCompiledLoop:
             run(path3(), BadCycle(), 2, ("steps", 2))
 
 
-class Counting(CallBased):
-    """CallBased that records every (d, i) it is advanced to."""
-
-    def __init__(self, agent):
-        super().__init__(agent)
-        self.calls = []
-
-    def ask(self, d, i):
-        self.calls.append((d, i))
-        return self.agent.outport(d, i)
-
-
 class TestLazyPorts:
     """An agent whose ports(d) is an iterator is advanced lazily."""
 
@@ -761,7 +736,7 @@ class TestLazyPorts:
                              ids=lambda a: a.name)
     def test_outport_asked_once_per_index(self, agent, seed):
         g = random_connected_graph(40, 80, seed)
-        counting = Counting(agent)
+        counting = Lazy(agent)
         t = run(g, counting, 0, "covered", cap=3000)
         # degree d is asked exactly 1..k, k the most exits of one node of degree d
         most: dict[int, int] = {}
@@ -774,7 +749,7 @@ class TestLazyPorts:
 
     @pytest.mark.parametrize("lazy, bad", [(1, 2), (2, 1)])
     def test_bad_cycle_beside_none_rejected_before_first_step(self, lazy, bad):
-        class Mixed(Counting):
+        class Mixed(Lazy):
             def ports(self, d):
                 return super().ports(d) if d == lazy else (d + 1,)
         agent = Mixed(ROTOR)
