@@ -15,9 +15,9 @@ regardless of its script.
 
 An agent states port_d once, through its one hook ports(d): a non-empty
 tuple t is a cycle, port_d(i) = t[(i - 1) % len(t)]; an iterator yields
-port_d(1), port_d(2), .... The rotor-router, cyclic patterns and "cycle"
-scripts return cycles; "fail" scripts and whiteboard agents return
-iterators.
+port_d(1), port_d(2), ... and may end, past which a read raises
+HorizonExceededError. Cycles: the rotor-router, cyclic patterns, "cycle"
+scripts; iterators: "fail" scripts (their tables) and whiteboard agents.
 
 Every reader of port_d (the walk engine, the brute force, and
 derive_port_function, which both constructions call) goes through
@@ -43,6 +43,8 @@ from .errors import (
     whole,
 )
 
+_END = object()  # next()'s default: the iterator agent has ended
+
 
 class PortFunction:
     """Base interface: a name and the one hook ports(d), which states port_d."""
@@ -67,10 +69,11 @@ def _port(p, d: int) -> int:
 class _Ports:
     """port_d(1), port_d(2), ... of an agent whose ports(d) is an iterator.
 
-    Entry i is _port(next(it, None), d), drawn when first read. The first
-    error (the iterator's own or _port's) is kept and raised again by every
-    read at or past its index, as the iterator is spent after it. Its
-    length is a period no visit index reaches, so it reads like a cycle.
+    Entry i is _port(next(it), d), drawn when first read; a read past the
+    iterator's end raises HorizonExceededError. The first error is kept and
+    raised again by every read at or past its index, as the iterator is
+    spent after it. Its length is a period no visit index reaches, so it
+    reads like a cycle.
     """
 
     def __init__(self, it: Iterator[int], d: int):
@@ -80,12 +83,16 @@ class _Ports:
         return sys.maxsize
 
     def __getitem__(self, i: int) -> int:
-        read = self.read
-        while len(read) <= i:
+        read, d = self.read, self.d
+        while (k := len(read)) <= i:
             if self.error is not None:
                 raise self.error
             try:
-                read.append(_port(next(self.it, None), self.d))
+                if (p := next(self.it, _END)) is _END:
+                    raise HorizonExceededError(
+                        f"degree-{d} table has {k} entries, visit {k + 1} requested"
+                        if k else f"no table for degree {d}")
+                read.append(_port(p, d))
             except Exception as e:
                 self.error = e
                 raise
@@ -160,21 +167,13 @@ class ScriptedPortFunction(PortFunction):
 
     def ports(self, d: int) -> tuple[int, ...] | Iterator[int]:
         """The table under "cycle", (1,) at degree 1 without one, otherwise
-        an iterator over it that raises HorizonExceededError where it ends."""
-        table = self.tables.get(d)
+        an iterator over the table (empty without one), read until it ends."""
+        table = self.tables.get(d, ())
         if not table and d == 1:
             return (1,)
         if table and self.extension == "cycle":
             return table
-
-        def until_horizon():
-            if not table:
-                raise HorizonExceededError(f"no table for degree {d}")
-            yield from table
-            raise HorizonExceededError(
-                f"degree-{d} table has {len(table)} entries, visit {len(table) + 1} requested"
-            )
-        return until_horizon()
+        return iter(table)
 
 
 def load_agent_script(text: str, name: str = "scripted") -> ScriptedPortFunction:
@@ -234,16 +233,16 @@ class WhiteboardAgent(PortFunction):
 
         Replays the transition from the initial state. The budget (None, or
         a non-negative int, not a bool) is checked at the first read; a port
-        is yielded once _port and the state it leaves behind are checked (a
-        node state is a non-negative int, not a bool, within the budget), so
-        reading port_d(k) runs exactly k transitions. Raises
-        AgentViolationError.
+        is yielded once the state it leaves behind is checked (a node state
+        is a non-negative int, not a bool, within the budget), so reading
+        port_d(k) runs exactly k transitions. Raises AgentViolationError;
+        the reader, _Ports, checks each port.
         """
         budget = self.memory_bits(d) if callable(self.memory_bits) else self.memory_bits
         if budget is not None and not is_whole(budget, 0):
             raise AgentViolationError(f"memory budget {budget!r} at degree {d} "
                                       "is not a non-negative int")
-        state, port = self.initial_state, None
+        state, port = self.initial_state, _END
         while True:  # check the initial state, then every state a transition returns
             if not is_whole(state, 0):
                 raise AgentViolationError(f"node state {state!r} is not a non-negative int")
@@ -251,10 +250,9 @@ class WhiteboardAgent(PortFunction):
                 raise AgentViolationError(
                     f"node state {state} needs more than {budget} bits at degree {d}"
                 )
-            if port is not None:
+            if port is not _END:
                 yield port
             state, port = self.transition(state, d)
-            _port(port, d)
 
 
 def derive_port_function(agent: PortFunction, d: int, k: int) -> list[int]:
@@ -272,7 +270,6 @@ def whiteboard_rotor_router() -> WhiteboardAgent:
     """Rotor-router in raw form: the node state is a port counter mod d."""
     return WhiteboardAgent(
         transition=lambda s, d: ((s + 1) % d, s % d + 1),
-        initial_state=0,
         memory_bits=lambda d: (d - 1).bit_length(),
     )
 

@@ -135,12 +135,14 @@ def build_parser() -> argparse.ArgumentParser:
     agent = argparse.ArgumentParser(add_help=False)
     agent.add_argument("--agent", required=True, help="builtin name or script file")
     capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument("--cap", type=int, default=None)
+    capped.add_argument("--cap", type=int, help="most steps per walk (default 4n^3 on an "
+                        "n-node graph; adversary-path: 8(n-1)^2+8)")
     capped.add_argument("--out", help="write output to this file instead of stdout")
     report = argparse.ArgumentParser(add_help=False, parents=[capped])
-    report.add_argument("--format", choices=("csv", "json"), default="csv")
+    report.add_argument("--format", choices=("csv", "json"), default="csv",
+                        help="report format (default csv)")
     check = argparse.ArgumentParser(add_help=False, parents=[agent])
-    check.add_argument("--n", type=int, required=True)
+    check.add_argument("--n", type=int, required=True, help="node count of the instance")
     check.set_defaults(func=cmd_check)
 
     p = sub.add_parser("simulate", parents=[agent, capped],

@@ -38,7 +38,7 @@ class InvalidLimitError(PortWalkError, ValueError):
 
 
 class HorizonExceededError(PortWalkError, LookupError):
-    """An agent was queried beyond the horizon its script can answer."""
+    """A read past the end of an agent's port_d (a fail script, any iterator)."""
 
 
 class AgentViolationError(PortWalkError, RuntimeError):

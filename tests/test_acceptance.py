@@ -7,12 +7,18 @@ step counts.
 """
 
 import time
+from math import perm
 from random import Random
 
 import pytest
 
 from portwalk.adversary import verify_cubic_bound, verify_path_bound
-from portwalk.agents import derive_port_function, memory_lower_bound_check
+from portwalk.agents import (
+    WhiteboardAgent,
+    derive_port_function,
+    memory_lower_bound_check,
+    whiteboard_rotor_router,
+)
 from portwalk.experiments import (
     battery,
     brute_force_path_worst_case,
@@ -150,3 +156,58 @@ def test_criterion_6_node_memory_floor():
             assert memory_lower_bound_check(bits, d) == (2 ** bits >= d), \
                 f"disagreement at bits={bits}, d={d}"
     print("\nACCEPTANCE 6 memory-floor: PASS (11 x 1024 pairs)")
+
+
+class Unset(Exception):
+    """The walk reached a node state whose transition is not chosen yet."""
+
+
+def test_criterion_6_memory_floor_binds_every_agent():
+    """With b <= 2 bits at a degree-d node, d <= 5: when 2^b < d no
+    whiteboard agent takes all d ports within 2*2^b exits, and when
+    2^b >= d the rotor-router does on b bits.
+
+    Every transition table on states 0..2^b-1 is covered by a search that
+    fixes a state's transition only when the walk reaches it, taking new
+    states and new ports in first-use order. Renaming states (but 0) and
+    ports changes neither the walk nor how many ports it takes, so each
+    leaf stands for perm(2^b - 1, u - 1) * perm(d, q) tables times any
+    transitions for the 2^b - u states it never reaches. A walk reaches
+    each of its states within 2^b exits, so the exits read hold every
+    port the agent ever takes."""
+    t0 = time.time()
+    tables = 0
+    for bits in range(3):
+        states, exits = 1 << bits, 2 << bits
+        for d in range(1, 6):
+            assert memory_lower_bound_check(bits, d) == (states >= d)
+            if states >= d:
+                rotor = WhiteboardAgent(whiteboard_rotor_router().transition, memory_bits=bits)
+                assert set(derive_port_function(rotor, d, exits)) == set(range(1, d + 1))
+                continue
+            covered, stack = 0, [{}]
+            while stack:
+                chosen = stack.pop()  # state -> (state, port), in first-use order
+                u = len({0, *(t for t, _ in chosen.values())})  # states 0..u-1 reached
+                q = len({p for _, p in chosen.values()})  # ports 1..q taken
+
+                def transition(s, d_, chosen=chosen):
+                    if s not in chosen:
+                        raise Unset(s)
+                    return chosen[s]
+                agent = WhiteboardAgent(transition, memory_bits=bits)
+                try:
+                    taken = derive_port_function(agent, d, exits)
+                except Unset as e:
+                    stack += [{**chosen, e.args[0]: (t, p)}
+                              for t in range(min(u + 1, states))
+                              for p in range(1, min(q + 1, d) + 1)]
+                    continue
+                assert len(set(taken)) < d, f"bits={bits} d={d}: {chosen} takes every port"
+                free = states - len(chosen)
+                covered += perm(states - 1, u - 1) * perm(d, q) * (states * d) ** free
+            assert covered == (states * d) ** states, f"bits={bits} d={d}"
+            tables += covered
+    elapsed = time.time() - t0
+    print(f"\nACCEPTANCE 6 memory-floor over agents: PASS "
+          f"({tables} transition tables, {elapsed:.2f}s)")

@@ -423,6 +423,18 @@ class TestOneReader:
             derive_port_function(a, 3, 1)
         assert str(e.value) == f"agent returned port {bad(3)!r} at degree 3"
 
+    @pytest.mark.parametrize("reader", READERS, ids=READERS.keys())
+    def test_ended_iterator_message(self, reader):
+        # an iterator that ends before its first port reads like a missing table
+        d, read = READERS[reader]
+        with pytest.raises(HorizonExceededError, match=f"^no table for degree {d}$"):
+            read(agent_with(lambda d_: iter(())))
+
+    def test_whiteboard_state_is_checked_before_its_port(self):
+        a = WhiteboardAgent(transition=lambda s, d: (-1, 0))
+        with pytest.raises(AgentViolationError, match="^node state -1 is not"):
+            derive_port_function(a, 3, 1)
+
     @pytest.mark.parametrize("agent", battery().values(), ids=battery().keys())
     def test_constructions_ask_each_index_once(self, agent):
         for d in range(2, 8):
@@ -461,9 +473,11 @@ class TestOneReader:
             with pytest.raises(HorizonExceededError, match="table ends"):
                 seq[i]
         assert seq[0] == 1
+        # any iterator may end: a read past its end raises, as for a fail script
         short = port_sequence(agent_with(lambda d: iter((2,))), 2)
         assert short[0] == 2
-        with pytest.raises(AgentViolationError, match="^agent returned port None at degree 2$"):
+        with pytest.raises(HorizonExceededError,
+                           match="^degree-2 table has 1 entries, visit 2 requested$"):
             short[1]
         # a fail script is read in order, one entry per index, never ahead
         table = [2, 3, 1, 1, 2]

@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -390,6 +393,38 @@ class TestSurface:
             build_parser().parse_args(argv)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_help_names_the_cap_default(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        want = ("adversary-path: 8(n-1)^2+8" if command == "adversary-path"
+                else "default 4n^3 on an n-node graph")
+        assert want in text, text
+
+
+class TestRunAsModule:
+    """python -m portwalk.cli exits with main()'s status."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["adversary-path", "--agent", "rotor-router", "--n", "4"], 0),
+        (["rotor-upper", "--case", "10,15,3", "--cap", "2"], 1),
+        (["adversary-path", "--agent", "no-such-agent", "--n", "4"], 2),
+    ], ids=["pass", "fail", "unknown-agent"])
+    def test_exit_status(self, argv, code, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-m", "portwalk.cli", *argv], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
+        if code == 2:
+            assert_one_error_line(done.stderr)
+            assert done.stdout == ""
+        else:
+            assert done.stderr == ""
+            assert done.stdout.endswith(f"aggregate,,,,,,{('pass', 'fail')[code]}\n")
 
 
 def readme_block(heading, language):
